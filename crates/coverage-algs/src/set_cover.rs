@@ -157,30 +157,20 @@ pub fn set_cover_outliers(stream: &dyn EdgeStream, config: &OutlierConfig) -> Ou
     let slack = eps_sketch * (1.0 / lp).ln();
     let required_fraction = (1.0 - lp - slack).clamp(0.0, 1.0);
 
-    let verdicts = evaluate_guesses(&sketches, &guesses, required_fraction, config.parallel);
-
-    // Smallest successful guess wins (ascending k').
-    for (i, v) in verdicts.iter().enumerate() {
-        if v.satisfied {
-            return OutlierResult {
-                family: v.family.clone(),
-                verified: true,
-                guess: guesses[i],
-                sketch_fraction: v.fraction,
-                space,
-                num_guesses: guesses.len(),
-            };
-        }
-    }
-    // All guesses failed: either the instance is not (1−λ)-coverable at
-    // any size ≤ n, or the budgets were too small. Return the largest
-    // guess's greedy output, flagged unverified.
-    let last = verdicts.len() - 1;
+    let eval = |i: usize| evaluate_guess(&sketches[i], guesses[i].budget_sets, required_fraction);
+    // Smallest successful guess wins (ascending k'). The serial path
+    // solves guesses in that order and stops at the first one Algorithm 4
+    // verifies; the parallel path solves every guess, then scans.
+    let (i, verdict) = if config.parallel && sketches.len() > 1 {
+        first_verified(evaluate_parallel(sketches.len(), eval).into_iter())
+    } else {
+        first_verified((0..sketches.len()).map(eval))
+    };
     OutlierResult {
-        family: verdicts[last].family.clone(),
-        verified: false,
-        guess: guesses[last],
-        sketch_fraction: verdicts[last].fraction,
+        family: verdict.family,
+        verified: verdict.satisfied,
+        guess: guesses[i],
+        sketch_fraction: verdict.fraction,
         space,
         num_guesses: guesses.len(),
     }
@@ -192,64 +182,72 @@ struct Verdict {
     satisfied: bool,
 }
 
-/// Run Algorithm 4's greedy + verification on every guess.
-fn evaluate_guesses(
-    sketches: &[ThresholdSketch],
-    guesses: &[Guess],
-    required_fraction: f64,
-    parallel: bool,
-) -> Vec<Verdict> {
-    let eval = |i: usize| -> Verdict {
-        // Zero-rebuild query: the guess's sketch is exported as a packed
-        // CSR view and solved with the decremental bucket-queue greedy.
-        let view = sketches[i].csr_view();
-        let m_sketch = view.num_elements();
-        let required = (required_fraction * m_sketch as f64).ceil() as usize;
-        let res = bucket_greedy_budgeted_cover(&view, required, guesses[i].budget_sets);
-        let family = res.family();
-        let fraction = if m_sketch == 0 {
-            1.0
-        } else {
-            res.trace.coverage() as f64 / m_sketch as f64
-        };
-        Verdict {
-            family,
-            fraction,
-            satisfied: res.satisfied,
+/// The first satisfied verdict with its index, pulling no verdict past
+/// it. When none is satisfied — the instance is not (1−λ)-coverable at
+/// any size ≤ n, or the budgets were too small — the last (largest
+/// guess's) verdict, unsatisfied.
+fn first_verified(verdicts: impl Iterator<Item = Verdict>) -> (usize, Verdict) {
+    let mut last = None;
+    for (i, v) in verdicts.enumerate() {
+        if v.satisfied {
+            return (i, v);
         }
-    };
-    if !parallel || sketches.len() < 2 {
-        (0..sketches.len()).map(eval).collect()
-    } else {
-        let workers = std::thread::available_parallelism()
-            .map(|p| p.get())
-            .unwrap_or(4)
-            .min(sketches.len());
-        let results: Vec<std::sync::Mutex<Option<Verdict>>> = (0..sketches.len())
-            .map(|_| std::sync::Mutex::new(None))
-            .collect();
-        let next = std::sync::atomic::AtomicUsize::new(0);
-        crossbeam::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|_| loop {
-                    let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    if i >= sketches.len() {
-                        break;
-                    }
-                    *results[i].lock().expect("verdict lock poisoned") = Some(eval(i));
-                });
-            }
-        })
-        .expect("guess evaluation worker panicked");
-        results
-            .into_iter()
-            .map(|m| {
-                m.into_inner()
-                    .expect("verdict lock poisoned")
-                    .expect("all guesses evaluated")
-            })
-            .collect()
+        last = Some((i, v));
     }
+    last.expect("the guess ladder is never empty")
+}
+
+/// Run Algorithm 4's greedy + verification on one guess's sketch.
+fn evaluate_guess(sketch: &ThresholdSketch, budget_sets: usize, required_fraction: f64) -> Verdict {
+    // Zero-rebuild query: the guess's sketch is exported as a packed
+    // CSR view and solved with the decremental bucket-queue greedy.
+    let view = sketch.csr_view();
+    let m_sketch = view.num_elements();
+    let required = (required_fraction * m_sketch as f64).ceil() as usize;
+    let res = bucket_greedy_budgeted_cover(&view, required, budget_sets);
+    let family = res.family();
+    let fraction = if m_sketch == 0 {
+        1.0
+    } else {
+        res.trace.coverage() as f64 / m_sketch as f64
+    };
+    Verdict {
+        family,
+        fraction,
+        satisfied: res.satisfied,
+    }
+}
+
+/// Evaluate all `count` guesses on worker threads, returning their
+/// verdicts in guess order.
+fn evaluate_parallel(count: usize, eval: impl Fn(usize) -> Verdict + Sync) -> Vec<Verdict> {
+    let workers = std::thread::available_parallelism()
+        .map(|p| p.get())
+        .unwrap_or(4)
+        .min(count);
+    let results: Vec<std::sync::Mutex<Option<Verdict>>> =
+        (0..count).map(|_| std::sync::Mutex::new(None)).collect();
+    let next = std::sync::atomic::AtomicUsize::new(0);
+    crossbeam::scope(|scope| {
+        for _ in 0..workers {
+            scope.spawn(|_| loop {
+                let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                if i >= count {
+                    break;
+                }
+                *results[i].lock().expect("verdict lock poisoned") = Some(eval(i));
+            });
+        }
+    })
+    .expect("guess evaluation worker panicked");
+    results
+        .into_iter()
+        .map(|m| {
+            m.into_inner()
+                .expect("verdict lock poisoned")
+                .expect("all guesses evaluated")
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -306,6 +304,30 @@ mod tests {
         assert_eq!(a.family, b.family);
         assert_eq!(a.verified, b.verified);
         assert_eq!(a.guess.budget_sets, b.guess.budget_sets);
+    }
+
+    fn verdict(satisfied: bool) -> Verdict {
+        Verdict {
+            family: Vec::new(),
+            fraction: 0.0,
+            satisfied,
+        }
+    }
+
+    #[test]
+    fn first_verified_stops_at_the_smallest_success() {
+        let mut pulled = 0;
+        let (i, v) = first_verified([false, false, true, true].into_iter().map(|s| {
+            pulled += 1;
+            verdict(s)
+        }));
+        assert_eq!((i, v.satisfied, pulled), (2, true, 3));
+        let (i, v) = first_verified([false, false, false].into_iter().map(verdict));
+        assert_eq!(
+            (i, v.satisfied),
+            (2, false),
+            "none verified: the largest guess"
+        );
     }
 
     #[test]

@@ -21,8 +21,15 @@
 //!    so the whole bank charges it as one counter bump per sketch
 //!    instead of `len()` full update calls (on budget-saturated streams
 //!    this removes the vast majority of per-sketch work);
-//! 3. feeds every guess from the same pre-hashed slice, sketch-major,
-//!    so one sketch's table stays hot in cache across the chunk.
+//! 3. feeds every guess all of the block's survivors before the next
+//!    guess is touched (sketch-major), so each guess's store is pulled
+//!    into cache once per block.
+//!
+//! The work unit is a block of `BANK_BLOCK` (64k) edges. A guess's store
+//! on a large budget outgrows a core's L2, so every switch between
+//! guesses refills the cache; a 64k-edge block pays that refill once
+//! per guess per 64k edges, where a 4,096-edge chunk paid it sixteen
+//! times, and larger blocks gain almost nothing more.
 //!
 //! Per-sketch counters remain exactly what the per-edge path would have
 //! produced (tested below): pre-filtered edges are provably
@@ -36,13 +43,22 @@ use coverage_stream::{EdgeStream, SpaceReport};
 use crate::params::SketchParams;
 use crate::threshold::{HashedEdge, ThresholdSketch, INGEST_CHUNK};
 
+/// Edges per bank ingest block: one hash pass and one bank-wide bound
+/// pre-filter per block, then every guess consumes the block's
+/// survivors in turn. A measured knee, not a tuning knob: on a
+/// 34-guess bank over 290k edges (2-vCPU Xeon VM, 2 MiB L2 per core)
+/// ingest took 1.06 s at 4,096-edge blocks, 0.69 s at 16k, 0.63 s at
+/// 64k and 0.62 s at 1M, against 0.51 s for the 34 sketches built one
+/// after another. Bounds scratch memory at about 2 MB.
+pub(crate) const BANK_BLOCK: usize = 1 << 16;
+
 /// Several `H≤n` sketches built simultaneously in one pass.
 #[derive(Clone, Debug)]
 pub struct SketchBank {
     sketches: Vec<ThresholdSketch>,
     /// The shared element hash (identical in every sketch).
     hash: UnitHash,
-    /// Reused scratch: the chunk's hashes (one mixer pass per chunk).
+    /// Reused scratch: the block's hashes (one mixer pass per block).
     scratch_hashes: Vec<u64>,
     /// Reused scratch: pre-filtered `(key, hash, set)` survivors.
     scratch: Vec<HashedEdge>,
@@ -101,22 +117,24 @@ impl SketchBank {
     }
 
     /// Forward a contiguous batch of edges to every sketch through the
-    /// shared-hash path (module docs): one hash pass, one bank-wide
-    /// bound pre-filter, then sketch-major consumption of the pre-hashed
-    /// slice. Semantically identical to per-edge [`update`](Self::update)
-    /// — same retained content, same counters.
+    /// shared-hash path (module docs): per 64k-edge block, one hash
+    /// pass, one bank-wide bound pre-filter, then sketch-major
+    /// consumption of the block's pre-hashed survivors. Semantically
+    /// identical to per-edge [`update`](Self::update) — same retained
+    /// content, same counters, same space report.
     pub fn update_batch(&mut self, edges: &[Edge]) {
         if self.sketches.is_empty() {
             return;
         }
         let hash = self.hash;
-        for chunk in edges.chunks(INGEST_CHUNK) {
-            // One mixer pass for the whole bank, straight off the chunk.
+        for block in edges.chunks(BANK_BLOCK) {
+            // One mixer pass for the whole bank, straight off the block.
             self.scratch_hashes.clear();
-            hash.hash_batch(chunk.iter().map(|e| e.element.0), &mut self.scratch_hashes);
+            hash.hash_batch(block.iter().map(|e| e.element.0), &mut self.scratch_hashes);
             // Bank-wide pre-filter: bounds only ever decrease, so the
-            // chunk-start maximum over all guesses is a sound rejection
-            // test for the entire chunk.
+            // block-start maximum over all guesses is a sound rejection
+            // test for the entire block, however far a guess's bound
+            // falls while it consumes the block.
             let max_bound = self
                 .sketches
                 .iter()
@@ -125,7 +143,7 @@ impl SketchBank {
                 .expect("bank is non-empty");
             self.scratch.clear();
             let mut rejected = 0u64;
-            for (&e, &h) in chunk.iter().zip(&self.scratch_hashes) {
+            for (&e, &h) in block.iter().zip(&self.scratch_hashes) {
                 if h > max_bound {
                     rejected += 1;
                 } else {
@@ -184,11 +202,6 @@ impl SketchBank {
         }
     }
 
-    /// Feed an entire stream (one pass for the whole bank).
-    pub fn consume(&mut self, stream: &dyn EdgeStream) {
-        stream.for_each(&mut |e| self.update(e));
-    }
-
     /// Feed an entire stream in batches of `batch` edges (one pass).
     pub fn consume_batched(&mut self, stream: &dyn EdgeStream, batch: usize) {
         stream.for_each_batch(batch, &mut |chunk| self.update_batch(chunk));
@@ -224,14 +237,14 @@ impl SketchBank {
         }
     }
 
-    /// Build a bank from one pass over `stream`.
+    /// Build a bank from one pass over `stream`, in 64k-edge batches.
     pub fn from_stream(
         params: impl IntoIterator<Item = SketchParams>,
         seed: u64,
         stream: &dyn EdgeStream,
     ) -> Self {
         let mut bank = Self::new(params, seed);
-        bank.consume(stream);
+        bank.consume_batched(stream, BANK_BLOCK);
         bank
     }
 
@@ -261,6 +274,7 @@ impl SketchBank {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use coverage_hash::SplitMix64;
     use coverage_stream::VecStream;
 
     fn stream() -> VecStream {
@@ -281,8 +295,10 @@ mod tests {
         let p1 = SketchParams::with_budget(8, 1, 0.5, 50);
         let p2 = SketchParams::with_budget(8, 4, 0.5, 120);
         let bank = SketchBank::from_stream([p1, p2], seed, &stream());
-        let solo1 = ThresholdSketch::from_stream(p1, seed, &stream());
-        let solo2 = ThresholdSketch::from_stream(p2, seed, &stream());
+        let mut solo1 = ThresholdSketch::new(p1, seed);
+        stream().for_each(&mut |e| solo1.update(e));
+        let mut solo2 = ThresholdSketch::new(p2, seed);
+        stream().for_each(&mut |e| solo2.update(e));
         assert_eq!(bank.sketches()[0].edges_stored(), solo1.edges_stored());
         assert_eq!(bank.sketches()[1].edges_stored(), solo2.edges_stored());
         assert_eq!(
@@ -318,7 +334,8 @@ mod tests {
         let seed = 31;
         let p1 = SketchParams::with_budget(8, 1, 0.5, 50);
         let p2 = SketchParams::with_budget(8, 4, 0.5, 120);
-        let per_edge = SketchBank::from_stream([p1, p2], seed, &stream());
+        let mut per_edge = SketchBank::new([p1, p2], seed);
+        stream().for_each(&mut |e| per_edge.update(e));
         for batch in [1usize, 37, 10_000] {
             let mut batched = SketchBank::new([p1, p2], seed);
             batched.consume_batched(&stream(), batch);
@@ -331,6 +348,99 @@ mod tests {
                     b.canonical_content(),
                     "batch={batch}"
                 );
+            }
+        }
+    }
+
+    /// Two full [`BANK_BLOCK`]s and a partial one over 100k elements,
+    /// so every guess keeps evicting, and its bound keeps falling,
+    /// inside every block. A quarter of the arrivals hit 64 hot
+    /// elements (a capped guess truncates them) and every fifth arrival
+    /// repeats a recent edge (dedup fires).
+    fn multi_block_stream() -> VecStream {
+        let len = 2 * BANK_BLOCK + 4_097;
+        let mut rng = SplitMix64::new(0xB10C);
+        let mut edges: Vec<Edge> = Vec::with_capacity(len);
+        while edges.len() < len {
+            let i = edges.len();
+            let edge = if i % 5 == 4 {
+                edges[i - 3]
+            } else {
+                let element = if rng.next_below(4) == 0 {
+                    rng.next_below(64)
+                } else {
+                    64 + rng.next_below(100_000)
+                };
+                Edge::new(rng.next_below(32) as u32, element)
+            };
+            edges.push(edge);
+        }
+        VecStream::new(32, edges)
+    }
+
+    /// Sketch-major ingest across block boundaries: every guess of a
+    /// bank built by `from_stream`, or by `consume_batched` at batch
+    /// sizes from one edge to the whole stream (three blocks in one
+    /// call), equals a solo sketch fed edge by edge — content,
+    /// counters, bound and space report.
+    #[test]
+    fn multi_block_bank_matches_per_edge_sketches() {
+        let seed = 0xB1;
+        let guesses = [
+            SketchParams::with_budget(32, 2, 0.5, 600),
+            SketchParams::with_budget(32, 4, 0.5, 1_500).with_degree_cap(3),
+            SketchParams::with_budget(32, 8, 0.5, 3_000),
+        ];
+        let stream = multi_block_stream();
+        let solos: Vec<ThresholdSketch> = guesses
+            .iter()
+            .map(|&p| {
+                let mut solo = ThresholdSketch::new(p, seed);
+                let mut evictions_at_block_start = Vec::new();
+                let mut i = 0usize;
+                stream.for_each(&mut |e| {
+                    if i.is_multiple_of(BANK_BLOCK) {
+                        evictions_at_block_start.push(solo.counters().evictions);
+                    }
+                    solo.update(e);
+                    i += 1;
+                });
+                evictions_at_block_start.push(solo.counters().evictions);
+                assert_eq!(evictions_at_block_start.len(), 4);
+                assert!(
+                    evictions_at_block_start.windows(2).all(|w| w[0] < w[1]),
+                    "the bound must fall inside every block: {evictions_at_block_start:?}"
+                );
+                solo
+            })
+            .collect();
+        let capped = solos[1].counters();
+        assert!(capped.rejected_by_cap > 0, "the degree cap must bind");
+        assert!(capped.duplicates > 0, "dedup must fire");
+
+        let mut banks = vec![(
+            "from_stream".to_string(),
+            SketchBank::from_stream(guesses, seed, &stream),
+        )];
+        for batch in [1, 4_096, BANK_BLOCK + 1, stream.edges().len()] {
+            let mut bank = SketchBank::new(guesses, seed);
+            bank.consume_batched(&stream, batch);
+            banks.push((format!("batch={batch}"), bank));
+        }
+        for (how, bank) in &banks {
+            for (g, (b, s)) in bank.sketches().iter().zip(&solos).enumerate() {
+                assert_eq!(
+                    b.canonical_content(),
+                    s.canonical_content(),
+                    "{how} guess {g}"
+                );
+                assert_eq!(b.counters(), s.counters(), "{how} guess {g}");
+                assert_eq!(
+                    b.acceptance_bound(),
+                    s.acceptance_bound(),
+                    "{how} guess {g}"
+                );
+                assert_eq!(b.space_report(), s.space_report(), "{how} guess {g}");
             }
         }
     }

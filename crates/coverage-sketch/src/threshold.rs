@@ -395,11 +395,6 @@ impl ThresholdSketch {
         self.scratch_hashes = hashes;
     }
 
-    /// Feed an entire stream (one pass).
-    pub fn consume(&mut self, stream: &dyn EdgeStream) {
-        stream.for_each(&mut |e| self.update(e));
-    }
-
     /// Feed an entire stream (one pass) in batches of `batch` edges —
     /// the amortized-dispatch fast path used by the parallel runner.
     pub fn consume_batched(&mut self, stream: &dyn EdgeStream, batch: usize) {
@@ -412,10 +407,11 @@ impl ThresholdSketch {
         stream.for_each_batch(batch, &mut |chunk| self.update_batch_scalar(chunk));
     }
 
-    /// Build the sketch from one pass over `stream`.
+    /// Build the sketch from one pass over `stream`, in 4,096-edge
+    /// batches.
     pub fn from_stream(params: SketchParams, seed: u64, stream: &dyn EdgeStream) -> Self {
         let mut s = Self::new(params, seed);
-        s.consume(stream);
+        s.consume_batched(stream, INGEST_CHUNK);
         s
     }
 
@@ -840,7 +836,8 @@ mod tests {
     fn batched_consume_equals_per_edge_consume() {
         let p = params(4, 60);
         let stream = star_stream(4, 300);
-        let per_edge = ThresholdSketch::from_stream(p, 23, &stream);
+        let mut per_edge = ThresholdSketch::new(p, 23);
+        stream.for_each(&mut |e| per_edge.update(e));
         for batch in [1usize, 3, 64, 10_000] {
             let mut batched = ThresholdSketch::new(p, 23);
             batched.consume_batched(&stream, batch);

@@ -80,7 +80,7 @@ proptest! {
         let mut scalar = ThresholdSketch::new(params, seed);
         scalar.consume_batched_scalar(&stream, batch);
         let mut per_edge = ThresholdSketch::new(params, seed);
-        per_edge.consume(&stream);
+        stream.for_each(&mut |e| per_edge.update(e));
         prop_assert_eq!(vectorized.acceptance_bound(), scalar.acceptance_bound());
         prop_assert_eq!(vectorized.counters(), scalar.counters());
         prop_assert_eq!(vectorized.canonical_content(), scalar.canonical_content());
