@@ -624,7 +624,11 @@ fn wire_smoke(
     let proc_ms = t.elapsed().as_secs_f64() * 1e3;
     // Kill two of the four workers mid-round (on their first shard) and
     // require the re-shard recovery path to land on the same family.
-    let killer = ProcessRunner::new(cfg, command, THREADS).with_injected_failures([0, 2]);
+    let killer = ProcessRunner::new(cfg, command, THREADS).with_fault_plan(
+        FaultPlan::new(6)
+            .with_fault(0, Fault::Crash)
+            .with_fault(2, Fault::Crash),
+    );
     let t = Instant::now();
     let kill_res = killer.run(stream).expect("multiprocess run with kills");
     let kill_ms = t.elapsed().as_secs_f64() * 1e3;

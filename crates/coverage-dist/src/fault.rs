@@ -9,25 +9,25 @@
 //! deterministically instead of waiting for real infrastructure to
 //! misbehave.
 //!
-//! A plan maps shard indices to [`Fault`]s. The
-//! [`ProcessRunner`](crate::ProcessRunner) consumes each shard's fault
-//! on that shard's **first** dispatch (exactly once per run), threads it
-//! to the worker inside the job frame, and the worker executes it —
-//! crash before replying, hang forever, delay the reply, or corrupt the
-//! reply frame. Every one of these is observed by the parent through a
-//! different detector (EOF, deadline reaper, nothing, checksum) and
-//! recovered through the same re-shard path, which is what the chaos
-//! suite (`tests/chaos.rs`) locks down.
+//! A plan maps shard indices to [`Fault`]s. The worker coordinator
+//! ([`Coordinator`](crate::Coordinator), on pipe and TCP links alike)
+//! consumes each shard's fault on that shard's **first** dispatch
+//! (exactly once per run). A worker fault rides to the worker inside
+//! the job frame, and the worker executes it — crash before replying,
+//! hang forever, delay the reply, or corrupt the reply frame. A network
+//! fault is executed by the coordinator's link writer — sever the link,
+//! stall it, or duplicate a chunk. Every one of these is observed
+//! through a different detector (EOF, deadline reaper, missed
+//! heartbeats, checksum, chunk index) and recovered through the same
+//! requeue path, which is what the chaos suite (`tests/chaos.rs`) locks
+//! down.
 
 use std::fmt;
 
 /// One injectable fault. The first four are **worker faults**, executed
 /// by the worker that receives them inside its job frame; the last three
 /// are **network faults**, executed by the coordinator's fault-aware
-/// connection wrapper on the socket transport
-/// ([`SocketRunner`](crate::SocketRunner)) — the pipe transport has no
-/// network to break, so [`ProcessRunner`](crate::ProcessRunner) skips
-/// them (see [`Fault::is_network`]).
+/// link writer on either transport (see [`Fault::is_network`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Fault {
     /// Exit without replying (the parent sees EOF — a crashed worker).
@@ -42,14 +42,14 @@ pub enum Fault {
     /// a typed wire error; the worker is dropped and the shard
     /// re-dispatched).
     CorruptReply,
-    /// Network fault: sever the connection mid-chunk-stream (the worker
-    /// sees a mid-frame cut, the coordinator sees the connection die and
-    /// requeues the whole shard). Spelled `drop@N`.
+    /// Network fault: sever the link mid-chunk-stream — shut the
+    /// connection down, or kill a pipe worker (the coordinator sees the
+    /// link die and requeues the whole shard). Spelled `drop@N`.
     DropConn,
-    /// Network fault: stop reading and writing for this many
-    /// milliseconds without closing the connection — the half-open link
-    /// that only missed heartbeats can detect, exercising the
-    /// live→suspect(→dead) path. Spelled `stall<MS>@N`.
+    /// Network fault: stop writing for this many milliseconds without
+    /// closing the link — the half-open link that only missed
+    /// heartbeats can detect, exercising the live→suspect(→dead) path.
+    /// Spelled `stall<MS>@N`.
     Stall(u64),
     /// Network fault: deliver one chunk frame twice; the worker's chunk
     /// index must reject the duplicate or the shard's sketch is wrong.
@@ -59,10 +59,7 @@ pub enum Fault {
 
 impl Fault {
     /// Whether this is a network fault, executed by the coordinator's
-    /// connection wrapper rather than shipped to the worker. The pipe
-    /// transport ([`ProcessRunner`](crate::ProcessRunner)) ignores
-    /// network faults: a pipe cannot stall half-open or duplicate a
-    /// frame on its own.
+    /// link writer rather than shipped to the worker.
     pub fn is_network(&self) -> bool {
         matches!(self, Fault::DropConn | Fault::Stall(_) | Fault::DupChunk)
     }

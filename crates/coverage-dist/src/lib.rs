@@ -43,27 +43,22 @@
 //! reduce shape. [`dynamic_distributed_k_cover`] is the serial
 //! reference; [`ParallelRunner::run_dynamic`] is the parallel executor.
 //!
-//! ## Real processes
+//! ## Real processes and networks
 //!
-//! [`ProcessRunner`] replaces the simulated machines with real OS
-//! subprocesses: the CLI binary re-invoked in a hidden `worker` mode,
-//! speaking the framed binary pipe protocol of [`proto`] over
-//! stdin/stdout. Workers build local sketches over their shards and
-//! ship snapshots back (binary wire frames by default); the parent runs
+//! [`Coordinator`] replaces the simulated machines with real OS worker
+//! processes: the CLI binary re-invoked in a hidden `worker` mode,
+//! speaking the framed binary protocol of [`proto`] over a duplex link —
+//! its stdin/stdout pipes ([`ProcessRunner`]) or a TCP connection it
+//! dials back (`coverage worker --connect HOST:PORT`, [`SocketRunner`]).
+//! One dispatch loop serves both: shards travel as chunked streams so
+//! ingest overlaps transfer, liveness is heartbeat-graded (live →
+//! suspect → dead, with late joiners admitted mid-run), and workers
+//! ship snapshots back (binary wire frames by default). The parent runs
 //! the identical [`tree_reduce_with`] reduction, so the family is
 //! bit-identical to the serial and in-process parallel executors — a
 //! contract that survives worker loss, because a dead worker's shards
 //! are re-dispatched to survivors and `merge_from` is associative and
-//! commutative.
-//!
-//! ## Real networks
-//!
-//! [`SocketRunner`] moves the same pipeline onto TCP: workers dial the
-//! coordinator (`coverage worker --connect HOST:PORT`), liveness is
-//! heartbeat-graded instead of EOF-based (live → suspect → dead, with
-//! late joiners admitted mid-run), and shards travel as chunked streams
-//! so ingest overlaps transfer. The [`net`] module docs cover the fault
-//! model; the determinism contract is identical.
+//! commutative. The [`net`] module docs cover the fault model.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -79,8 +74,8 @@ pub mod worker;
 
 pub use fault::{Fault, FaultParseError, FaultPlan, SplitMix64};
 pub use net::{
-    DynSocketResult, HeartbeatStats, SocketResult, SocketRunStats, SocketRunner, WorkerState,
-    WorkerSummary,
+    Coordinator, DynSocketResult, HeartbeatStats, ProcessResult, ProcessRunner, SocketResult,
+    SocketRunStats, SocketRunner, WorkerState, WorkerSummary,
 };
 pub use parallel::{
     partition_edges, partition_updates, DynamicParallelResult, IngestMode, ParallelResult,
@@ -94,6 +89,5 @@ pub use rounds::{
 };
 pub use runner::{
     distributed_k_cover, distributed_k_cover_serial, dynamic_distributed_k_cover, merge_all,
-    DistConfig, DistResult, DynDistResult, DynProcessResult, ProcessResult, ProcessRunner,
-    RetryPolicy, RunError, WorkerCommand,
+    DistConfig, DistResult, DynDistResult, RetryPolicy, RunError, WorkerCommand,
 };

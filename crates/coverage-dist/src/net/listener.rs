@@ -1,38 +1,53 @@
-//! The socket executor: [`SocketRunner`] accepts TCP workers, streams
-//! shards to them in bounded chunks, and recovers from every network
-//! failure mode the fault plan can inject.
+//! The one worker coordinator: [`Coordinator`] drives shard jobs over
+//! duplex worker links, streams each shard in bounded chunks, grades
+//! liveness by heartbeats, and recovers from every worker and network
+//! failure the fault plan can inject. [`ProcessRunner`] is the
+//! coordinator over pipe workers, [`SocketRunner`] over TCP workers.
+//!
+//! ## Links
+//!
+//! A link is a byte reader, a byte writer and a *sever* operation. A
+//! pipe worker's link is its child's stdout/stdin, severed by killing
+//! the child; a TCP worker's link is its connection, severed by
+//! `shutdown(Both)`. Everything above the link is one code path: the
+//! handshake, heartbeats, chunk streaming under the ack window,
+//! deadlines, retries, the registry and the inline fallback. So every
+//! fault kind fires on both transports: `drop@N` severs the link
+//! mid-stream, `stall<MS>@N` pauses its writer, `dup@N` writes a chunk
+//! twice.
 //!
 //! ## Thread shape
 //!
-//! One **acceptor** thread polls the listener and forwards new
-//! connections; each connection gets a dedicated **reader** thread
-//! (frames → the shared event channel, so a stalled peer blocks its
-//! reader, never the coordinator) and a dedicated **writer** thread
-//! (commands → frames, so a peer that stops reading blocks its writer,
-//! never the coordinator). The main loop is single-threaded and
-//! event-driven, exactly like `ProcessRunner::dispatch`, waiting on
-//! whichever comes first: a frame, a heartbeat tick, a job deadline, a
-//! retry backoff maturing, a scheduled late spawn, or the empty-registry
-//! grace deadline.
+//! Each link gets a dedicated **reader** thread (frames → the shared
+//! event channel, so a stalled peer blocks its reader, never the
+//! coordinator) and a dedicated **writer** thread (commands → frames, so
+//! a peer that stops reading blocks its writer, never the coordinator).
+//! Pipe workers are admitted as they are spawned; TCP adds one
+//! **acceptor** thread that polls the listener and forwards new
+//! connections. The main loop is single-threaded and event-driven,
+//! waiting on whichever comes first: a frame, a heartbeat tick, a job
+//! deadline, a retry backoff maturing, a scheduled late spawn, or the
+//! empty-registry grace deadline.
 //!
 //! ## Why recovery cannot change the answer
 //!
 //! Every shard job is self-contained (params + seed + the shard's
 //! edges) and `merge_from` is associative and commutative, so a shard
-//! requeued after a mid-stream connection loss — or rebuilt inline when
-//! the registry empties — produces byte-identical locals. The reduce
+//! requeued after a mid-stream link loss — or rebuilt inline when the
+//! registry empties — produces byte-identical locals. The reduce
 //! consumes locals in shard order regardless of which worker built
 //! them; the family is therefore bit-identical to the serial executor
-//! under **any** fault schedule, which `tests/socket_execution.rs` and
-//! the socket chaos leg assert.
+//! under **any** fault schedule, which `tests/process_execution.rs`,
+//! `tests/socket_execution.rs` and the chaos suite assert.
 
 use std::collections::VecDeque;
-use std::io::{BufReader, BufWriter};
+use std::io::{BufReader, BufWriter, Read, Write};
+use std::marker::PhantomData;
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::process::Child;
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender, TryRecvError};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -42,7 +57,7 @@ use coverage_sketch::{DynamicSketch, DynamicSnapshot, SketchSnapshot, ThresholdS
 use coverage_stream::{DynamicEdgeStream, EdgeStream};
 
 use crate::fault::{Fault, FaultPlan};
-use crate::parallel::{partition_edges, partition_updates};
+use crate::parallel::{partition_edges, partition_updates, DEFAULT_BATCH, DEFAULT_FAN_IN};
 use crate::proto::{read_message, write_message, Message, ProtoError};
 use crate::rounds::{tree_reduce_with, RoundsReport, ShipFormat};
 use crate::runner::{
@@ -52,14 +67,15 @@ use crate::runner::{
 use super::chunk::{plan_dynamic, plan_sketch, ChunkPlan};
 use super::registry::{HeartbeatStats, Liveness, WorkerRegistry, WorkerSummary};
 
-/// Fault/recovery/registry accounting of one socket run, embedded in
-/// [`SocketResult`]/[`DynSocketResult`].
+/// Fault/recovery/registry accounting of one coordinator run, embedded
+/// in [`SocketResult`]/[`DynSocketResult`].
 #[derive(Clone, Debug, Default)]
 pub struct SocketRunStats {
-    /// Connections admitted to the registry over the whole run.
+    /// Workers admitted to the registry over the whole run (spawned
+    /// pipe workers and accepted connections).
     pub workers_joined: usize,
-    /// Of those, connections admitted after shard dispatch had begun
-    /// (late joiners and rejoining worker processes).
+    /// Of those, workers admitted after shard dispatch had begun (late
+    /// joiners and rejoining worker processes).
     pub late_joiners: usize,
     /// Workers declared dead (EOF, wire error, missed heartbeats, or
     /// deadline reap).
@@ -69,7 +85,7 @@ pub struct SocketRunStats {
     /// Times a suspect worker recovered to live on a late echo.
     pub suspect_recoveries: usize,
     /// Shard jobs requeued to survivors after their worker died
-    /// mid-job (including mid-stream connection losses).
+    /// mid-job (including mid-stream link losses).
     pub shards_requeued: usize,
     /// Shards built inline in the coordinator because the registry
     /// emptied or the shard exhausted its retry allowance.
@@ -79,10 +95,10 @@ pub struct SocketRunStats {
     pub deadline_reaps: usize,
     /// Shard jobs re-dispatched after waiting out a backoff.
     pub retries: usize,
-    /// Typed protocol faults observed on connections (corrupt frames,
+    /// Typed protocol faults observed on links (corrupt frames,
     /// version mismatches, unexpected replies).
     pub proto_faults: usize,
-    /// Injected `drop@N` faults: connections severed mid-stream.
+    /// Injected `drop@N` faults: links severed mid-stream.
     pub conn_drops_injected: usize,
     /// Injected `stall<MS>@N` faults: writes paused without closing.
     pub stalls_injected: usize,
@@ -94,7 +110,7 @@ pub struct SocketRunStats {
     /// chunk had been sent — the observable proof that chunked
     /// streaming overlapped transfer and ingest.
     pub overlap_shards: usize,
-    /// Total connection bytes of worker reply frames.
+    /// Total link bytes of worker reply frames.
     pub wire_bytes: u64,
     /// Heartbeat probe round-trip latency aggregated over every worker.
     pub heartbeat: HeartbeatStats,
@@ -102,11 +118,13 @@ pub struct SocketRunStats {
     pub workers: Vec<WorkerSummary>,
 }
 
-/// Result of a [`SocketRunner`] insertion-only run.
+/// Result of a [`Coordinator`] insertion-only run: the report both
+/// transports fill. [`ProcessRunner::run`] returns its flat
+/// [`ProcessResult`] view instead.
 #[derive(Clone, Debug)]
 pub struct SocketResult {
-    /// The selected family (identical to the serial, parallel, and
-    /// process executors').
+    /// The selected family (identical to the serial and parallel
+    /// executors').
     pub family: Vec<SetId>,
     /// Inverse-probability estimate of the family's coverage.
     pub estimated_coverage: f64,
@@ -124,7 +142,8 @@ pub struct SocketResult {
     pub reduce_solve_ns: u64,
 }
 
-/// Result of a [`SocketRunner`] dynamic (insert/delete) run.
+/// Result of a [`Coordinator`] dynamic (insert/delete) run, on either
+/// transport.
 #[derive(Clone, Debug)]
 pub struct DynSocketResult {
     /// The selected family (identical to the serial dynamic executor's).
@@ -150,20 +169,133 @@ pub struct DynSocketResult {
     pub reduce_solve_ns: u64,
 }
 
+/// The flat view of a [`SocketResult`] that [`ProcessRunner::run`]
+/// returns: the same run, with the counters lifted out of
+/// [`SocketRunStats`] under the pipe executor's older names.
+#[derive(Clone, Debug)]
+pub struct ProcessResult {
+    /// The selected family.
+    pub family: Vec<SetId>,
+    /// Inverse-probability estimate of the family's coverage.
+    pub estimated_coverage: f64,
+    /// The merged sketch's final size (edges).
+    pub merged_edges: usize,
+    /// Tree-reduce round/communication accounting.
+    pub rounds: RoundsReport,
+    /// [`SocketRunStats::workers_joined`].
+    pub workers_spawned: usize,
+    /// [`SocketRunStats::workers_lost`].
+    pub workers_lost: usize,
+    /// [`SocketRunStats::shards_requeued`].
+    pub shards_resharded: usize,
+    /// [`SocketRunStats::shards_built_inline`].
+    pub shards_built_inline: usize,
+    /// [`SocketRunStats::deadline_reaps`].
+    pub deadline_reaps: usize,
+    /// [`SocketRunStats::retries`].
+    pub retries: usize,
+    /// [`SocketRunStats::proto_faults`].
+    pub proto_faults: usize,
+    /// [`SocketRunStats::wire_bytes`].
+    pub wire_bytes: u64,
+    /// [`SocketRunStats::heartbeat`].
+    pub heartbeat: HeartbeatStats,
+    /// Wall-clock nanoseconds partitioning the stream.
+    pub partition_ns: u64,
+    /// Wall-clock nanoseconds streaming shards and collecting replies.
+    pub map_ns: u64,
+    /// Wall-clock nanoseconds in the reduce + solve tail.
+    pub reduce_solve_ns: u64,
+}
+
+impl From<SocketResult> for ProcessResult {
+    fn from(r: SocketResult) -> Self {
+        let s = r.stats;
+        ProcessResult {
+            family: r.family,
+            estimated_coverage: r.estimated_coverage,
+            merged_edges: r.merged_edges,
+            rounds: r.rounds,
+            workers_spawned: s.workers_joined,
+            workers_lost: s.workers_lost,
+            shards_resharded: s.shards_requeued,
+            shards_built_inline: s.shards_built_inline,
+            deadline_reaps: s.deadline_reaps,
+            retries: s.retries,
+            proto_faults: s.proto_faults,
+            wire_bytes: s.wire_bytes,
+            heartbeat: s.heartbeat,
+            partition_ns: r.partition_ns,
+            map_ns: r.map_ns,
+            reduce_solve_ns: r.reduce_solve_ns,
+        }
+    }
+}
+
+/// Cuts a link from the coordinator's side: kills (and reaps) a pipe
+/// worker, or shuts a connection down both ways. Either way the link's
+/// reader sees the stream end and a blocked writer fails.
+type Sever = Box<dyn Fn() + Send + Sync>;
+
+/// One worker's duplex byte link.
+struct Link {
+    peer: String,
+    input: Box<dyn Read + Send>,
+    output: Box<dyn Write + Send>,
+    sever: Sever,
+}
+
+impl Link {
+    /// A spawned child's stdout/stdin pipes.
+    fn pipe(mut child: Child) -> Link {
+        let input = child.stdout.take().expect("worker stdout is piped");
+        let output = child.stdin.take().expect("worker stdin is piped");
+        let peer = format!("pid {}", child.id());
+        let child = Mutex::new(child);
+        Link {
+            peer,
+            input: Box::new(input),
+            output: Box::new(output),
+            sever: Box::new(move || {
+                if let Ok(mut child) = child.lock() {
+                    let _ = child.kill();
+                    let _ = child.wait();
+                }
+            }),
+        }
+    }
+
+    /// An accepted TCP connection.
+    fn tcp(stream: TcpStream) -> std::io::Result<Link> {
+        let peer = stream
+            .peer_addr()
+            .map_or_else(|_| "unknown".to_string(), |a| a.to_string());
+        let _ = stream.set_nodelay(true);
+        Ok(Link {
+            peer,
+            input: Box::new(stream.try_clone()?),
+            output: Box::new(stream.try_clone()?),
+            sever: Box::new(move || {
+                let _ = stream.shutdown(Shutdown::Both);
+            }),
+        })
+    }
+}
+
 /// One event delivered to the coordinator's main loop.
-enum SockEvent {
+enum Event {
     /// The acceptor took a new connection.
-    Joined(TcpStream),
+    Joined(Link),
     /// A frame (or the typed read failure that ended the stream) from
-    /// connection `0`'s reader.
+    /// link `0`'s reader.
     Frame(usize, Result<(Message, u64), ProtoError>),
-    /// Connection `0`'s writer finished streaming shard `1`'s chunks.
+    /// Link `0`'s writer finished streaming shard `1`'s chunks.
     SentAll(usize, usize),
-    /// Connection `0`'s writer hit an I/O error.
+    /// Link `0`'s writer hit an I/O error.
     WriteErr(usize),
 }
 
-/// One command to a connection's writer thread.
+/// One command to a link's writer thread.
 enum WriteCmd {
     /// Write a single control frame (heartbeat probe, shutdown).
     Frame(Message),
@@ -179,19 +311,24 @@ enum WriteCmd {
     Stop,
 }
 
-/// Coordinator-side handle on one connection (registry entry `ci`).
+/// What a link's writer thread shares with the coordinator.
+struct Shared {
+    /// Chunks of the in-flight shard acked (ingested) so far — the
+    /// writer's flow control.
+    acked: AtomicU32,
+    /// Set when the link is being torn down, so a writer blocked in
+    /// flow control or an injected stall bails out.
+    gone: AtomicBool,
+    sever: Sever,
+}
+
+/// Coordinator-side handle on one link (registry entry `ci`).
 struct Conn {
-    stream: TcpStream,
+    shared: Arc<Shared>,
     cmd: Option<Sender<WriteCmd>>,
     reader: Option<JoinHandle<()>>,
     writer: Option<JoinHandle<()>>,
-    /// Chunks of the in-flight shard acked (ingested) so far — shared
-    /// with the writer for flow control.
-    acked: Arc<AtomicU32>,
-    /// Set when the connection is being torn down, so a writer blocked
-    /// in flow control or an injected stall bails out.
-    gone: Arc<AtomicBool>,
-    /// The shard whose reply this connection owes, if any.
+    /// The shard whose reply this link owes, if any.
     inflight: Option<usize>,
     /// Whether the writer has reported streaming every chunk of the
     /// in-flight shard.
@@ -205,19 +342,16 @@ struct Conn {
 fn spawn_acceptor(
     listener: TcpListener,
     stop: Arc<AtomicBool>,
-    tx: Sender<SockEvent>,
+    tx: Sender<Event>,
 ) -> JoinHandle<()> {
     std::thread::spawn(move || {
         let _ = listener.set_nonblocking(true);
         while !stop.load(Ordering::Acquire) {
-            match listener.accept() {
-                Ok((stream, _)) => {
-                    if tx.send(SockEvent::Joined(stream)).is_err() {
+            match listener.accept().and_then(|(stream, _)| Link::tcp(stream)) {
+                Ok(link) => {
+                    if tx.send(Event::Joined(link)).is_err() {
                         return;
                     }
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(5));
                 }
                 Err(_) => std::thread::sleep(Duration::from_millis(5)),
             }
@@ -225,18 +359,18 @@ fn spawn_acceptor(
     })
 }
 
-fn spawn_conn_reader(ci: usize, stream: TcpStream, tx: Sender<SockEvent>) -> JoinHandle<()> {
+fn spawn_conn_reader(ci: usize, input: Box<dyn Read + Send>, tx: Sender<Event>) -> JoinHandle<()> {
     std::thread::spawn(move || {
-        let mut input = BufReader::new(stream);
+        let mut input = BufReader::new(input);
         loop {
             match read_message(&mut input) {
                 Ok(ok) => {
-                    if tx.send(SockEvent::Frame(ci, Ok(ok))).is_err() {
+                    if tx.send(Event::Frame(ci, Ok(ok))).is_err() {
                         return;
                     }
                 }
                 Err(e) => {
-                    let _ = tx.send(SockEvent::Frame(ci, Err(e)));
+                    let _ = tx.send(Event::Frame(ci, Err(e)));
                     return;
                 }
             }
@@ -247,10 +381,7 @@ fn spawn_conn_reader(ci: usize, stream: TcpStream, tx: Sender<SockEvent>) -> Joi
 /// Drain queued control frames (heartbeat probes, shutdown) so a long
 /// chunk stream never starves liveness. Returns `Ok(false)` when a
 /// `Stop` was drained — the caller abandons its stream and exits.
-fn drain_control(
-    out: &mut BufWriter<&TcpStream>,
-    cmds: &Receiver<WriteCmd>,
-) -> Result<bool, ProtoError> {
+fn drain_control(out: &mut impl Write, cmds: &Receiver<WriteCmd>) -> Result<bool, ProtoError> {
     loop {
         match cmds.try_recv() {
             Ok(WriteCmd::Frame(msg)) => {
@@ -270,15 +401,12 @@ fn drain_control(
 /// Stream one shard's chunks under flow control, executing an injected
 /// network fault mid-stream. Returns `Ok(true)` when every chunk was
 /// written (the caller reports `SentAll`) and `Ok(false)` when the
-/// stream was abandoned — injected drop, torn-down connection, or a
-/// drained `Stop`.
-#[allow(clippy::too_many_arguments)]
+/// stream was abandoned — injected drop, torn-down link, or a drained
+/// `Stop`.
 fn stream_shard(
-    stream: &TcpStream,
-    out: &mut BufWriter<&TcpStream>,
+    out: &mut impl Write,
+    shared: &Shared,
     cmds: &Receiver<WriteCmd>,
-    acked: &AtomicU32,
-    gone: &AtomicBool,
     window: u32,
     start: &Message,
     chunks: &[Message],
@@ -288,7 +416,7 @@ fn stream_shard(
     if chunks.is_empty() && matches!(net_fault, Some(Fault::DropConn)) {
         // Even an empty shard's stream can be severed before the worker
         // replies.
-        let _ = stream.shutdown(Shutdown::Both);
+        (shared.sever)();
         return Ok(false);
     }
     for (i, chunk) in chunks.iter().enumerate() {
@@ -297,10 +425,10 @@ fn stream_shard(
         }
         // Flow control: at most `window` unacked chunks in flight, so a
         // slow ingester applies backpressure instead of ballooning its
-        // socket buffer — and so acks arriving before the last chunk is
+        // link buffer — and so acks arriving before the last chunk is
         // sent are an honest overlap observation.
-        while (i as u32) >= acked.load(Ordering::Acquire).saturating_add(window) {
-            if gone.load(Ordering::Acquire) {
+        while (i as u32) >= shared.acked.load(Ordering::Acquire).saturating_add(window) {
+            if shared.gone.load(Ordering::Acquire) {
                 return Ok(false);
             }
             if !drain_control(out, cmds)? {
@@ -313,17 +441,17 @@ fn stream_shard(
             match net_fault {
                 Some(Fault::DropConn) => {
                     // Sever mid-stream: the worker's build dies with the
-                    // connection; the reader's EOF requeues the shard.
-                    let _ = stream.shutdown(Shutdown::Both);
+                    // link; the reader's EOF requeues the shard.
+                    (shared.sever)();
                     return Ok(false);
                 }
                 Some(Fault::Stall(ms)) => {
                     // Stop writing without closing. Heartbeat probes
                     // queue unwritten behind the stall, so the pending
                     // probe ages into the suspect threshold — the
-                    // half-open-connection detector under test.
+                    // half-open-link detector under test.
                     let mut left = ms;
-                    while left > 0 && !gone.load(Ordering::Acquire) {
+                    while left > 0 && !shared.gone.load(Ordering::Acquire) {
                         let step = left.min(10);
                         std::thread::sleep(Duration::from_millis(step));
                         left -= step;
@@ -341,24 +469,22 @@ fn stream_shard(
     Ok(true)
 }
 
-#[allow(clippy::too_many_arguments)]
 fn spawn_conn_writer(
     ci: usize,
-    stream: TcpStream,
+    output: Box<dyn Write + Send>,
+    shared: Arc<Shared>,
     cmds: Receiver<WriteCmd>,
-    acked: Arc<AtomicU32>,
-    gone: Arc<AtomicBool>,
     window: u32,
-    tx: Sender<SockEvent>,
+    tx: Sender<Event>,
 ) -> JoinHandle<()> {
     std::thread::spawn(move || {
-        let mut out = BufWriter::new(&stream);
+        let mut out = BufWriter::new(output);
         while let Ok(cmd) = cmds.recv() {
             match cmd {
                 WriteCmd::Stop => return,
                 WriteCmd::Frame(msg) => {
                     if write_message(&mut out, &msg).is_err() {
-                        let _ = tx.send(SockEvent::WriteErr(ci));
+                        let _ = tx.send(Event::WriteErr(ci));
                         return;
                     }
                 }
@@ -367,63 +493,113 @@ fn spawn_conn_writer(
                     start,
                     chunks,
                     net_fault,
-                } => match stream_shard(
-                    &stream, &mut out, &cmds, &acked, &gone, window, &start, &chunks, net_fault,
-                ) {
-                    Ok(true) => {
-                        if tx.send(SockEvent::SentAll(ci, shard)).is_err() {
+                } => {
+                    match stream_shard(&mut out, &shared, &cmds, window, &start, &chunks, net_fault)
+                    {
+                        Ok(true) => {
+                            if tx.send(Event::SentAll(ci, shard)).is_err() {
+                                return;
+                            }
+                        }
+                        // Abandoned stream (injected drop / teardown): the
+                        // reader-side EOF carries the news; nothing to send.
+                        Ok(false) => return,
+                        Err(_) => {
+                            let _ = tx.send(Event::WriteErr(ci));
                             return;
                         }
                     }
-                    // Abandoned stream (injected drop / teardown): the
-                    // reader-side EOF carries the news; nothing to send.
-                    Ok(false) => return,
-                    Err(_) => {
-                        let _ = tx.send(SockEvent::WriteErr(ci));
-                        return;
-                    }
-                },
+                }
             }
         }
     })
 }
 
-/// The TCP executor: the same map → tree-reduce → solve pipeline as
-/// [`ProcessRunner`](crate::ProcessRunner), with workers on the far end
-/// of real socket connections instead of parent-owned pipes.
+/// Where a coordinator's workers come from.
+#[derive(Clone, Debug)]
+enum Workers {
+    /// Spawn the command with piped stdin/stdout; each child is a link.
+    Pipes(WorkerCommand),
+    /// Bind `listen` and accept TCP links; with a command, also spawn
+    /// workers that dial back (`--connect ADDR`).
+    Tcp {
+        listen: String,
+        command: Option<WorkerCommand>,
+    },
+}
+
+impl Workers {
+    /// Start one worker. A pipe worker is its own link; a TCP worker
+    /// dials `addr` and arrives through the acceptor, so only its
+    /// process is kept (in `children`, killed at wind-down).
+    fn spawn(&self, addr: &str, children: &mut Vec<Child>) -> std::io::Result<Option<Link>> {
+        match self {
+            Workers::Pipes(command) => command.spawn().map(|child| Some(Link::pipe(child))),
+            Workers::Tcp { command, .. } => {
+                if let Some(command) = command {
+                    children.push(command.spawn_connected(addr)?);
+                }
+                Ok(None)
+            }
+        }
+    }
+}
+
+/// The worker coordinator: the map → tree-reduce → solve pipeline of
+/// [`crate::ParallelRunner`], with each shard built by a worker at the
+/// far end of a link — a pipe to a child process or a TCP connection.
+/// `R` is the shape [`run`](Self::run) returns: the full
+/// [`SocketResult`] report, or the flat [`ProcessResult`] view that
+/// [`ProcessRunner`] keeps for older callers.
 ///
-/// Two deployment shapes share the implementation:
+/// Three deployment shapes share the implementation:
 ///
-/// - **Loopback self-spawn** ([`SocketRunner::new`]): bind an ephemeral
-///   loopback port and launch `processes` copies of the worker command
-///   with `--connect ADDR` appended — the tests/bench shape.
-/// - **Listen** ([`SocketRunner::listen`]): bind a given address and
-///   wait for externally-started `coverage worker --connect HOST:PORT`
+/// - **Pipes** ([`Coordinator::pipes`], [`ProcessRunner::new`]): spawn
+///   `processes` copies of the worker command, each speaking the framed
+///   protocol ([`crate::proto`]) on its stdin/stdout.
+/// - **Loopback TCP** ([`Coordinator::loopback`], [`SocketRunner::new`]):
+///   bind an ephemeral loopback port and launch `processes` copies of
+///   the worker command with `--connect ADDR` appended.
+/// - **Listen** ([`Coordinator::listen`]): bind a given address and wait
+///   for externally-started `coverage worker --connect HOST:PORT`
 ///   processes — the multi-host shape. Workers may connect at any
 ///   point; a worker joining after dispatch began is admitted mid-run
 ///   and handed queued shards.
 ///
+/// The parent partitions the stream with the same
+/// [`partition_edges`]/[`partition_updates`] and
+/// [`DistConfig::shard_seed`] as the in-process executors and orders
+/// the returned locals by shard index, so the reduce sees the exact
+/// sequence they see and the selected family is identical.
+///
 /// Liveness is heartbeat-driven, not EOF-driven: the coordinator probes
-/// every connection on a fixed cadence, and the registry grades each
-/// worker by the age of its oldest unanswered probe
-/// (live → suspect → dead; see [`super::registry`]). Dead workers'
-/// in-flight shards are requeued to survivors through the same
-/// [`RetryPolicy`] + deadline machinery as the pipe executor, and when
-/// the registry empties (and stays empty past the join grace), the
-/// remaining shards degrade to inline builds — the run always
-/// completes, with the degradation visible in [`SocketRunStats`].
+/// every link on a fixed cadence, and the registry grades each worker
+/// by the age of its oldest unanswered probe (live → suspect → dead;
+/// see [`super::registry`]). A crash is EOF from the reader, a hang or
+/// over-deadline stall is reaped by the per-job deadline, a corrupt
+/// reply or version mismatch is a typed error from [`read_message`]. A
+/// dead worker's in-flight shard is requeued after an exponential
+/// backoff ([`RetryPolicy`]). A shard that exhausts its attempts or the
+/// run-wide retry budget is built inline, and so is every remaining
+/// shard when the registry empties with nothing scheduled to join — at
+/// once without a listener, after the join grace with one. The run
+/// always completes, with the degradation visible in
+/// [`SocketRunStats`].
 ///
 /// Shards travel as **chunked streams** ([`super::chunk`]): a
 /// `ChunkStart*` frame, then bounded `JobChunk` frames under an ack
-/// window, so workers ingest while the shard is still arriving. A
-/// connection lost mid-stream requeues the whole shard — idempotent
-/// because shard jobs are self-contained.
+/// window, so workers ingest while the shard is still arriving. A link
+/// lost mid-stream requeues the whole shard — idempotent because shard
+/// jobs are self-contained.
+///
+/// A [`FaultPlan`] ([`Self::with_fault_plan`]) injects faults
+/// reproducibly from a seed; each shard's fault is consumed on its
+/// first dispatch (see `tests/chaos.rs`).
 #[derive(Clone, Debug)]
-pub struct SocketRunner {
+pub struct Coordinator<R> {
     cfg: DistConfig,
-    command: Option<WorkerCommand>,
+    workers: Workers,
     processes: usize,
-    listen: String,
     fan_in: usize,
     batch: usize,
     ship: ShipFormat,
@@ -437,51 +613,90 @@ pub struct SocketRunner {
     dead_after: Duration,
     join_grace: Duration,
     late_spawns: Vec<Duration>,
+    report: PhantomData<fn() -> R>,
 }
 
-/// Mirrors the pipe executor's defaults.
-const SOCKET_DEFAULT_BATCH: usize = 1 << 12;
-const SOCKET_DEFAULT_FAN_IN: usize = 4;
-const SOCKET_DEFAULT_JOB_TIMEOUT: Duration = Duration::from_secs(30);
+/// The coordinator over pipe workers; [`run`](Coordinator::run) returns
+/// the flat [`ProcessResult`].
+pub type ProcessRunner = Coordinator<ProcessResult>;
+
+/// The coordinator over TCP workers; [`run`](Coordinator::run) returns
+/// the [`SocketResult`] report.
+pub type SocketRunner = Coordinator<SocketResult>;
+
+/// Default per-job deadline — generous for real shard builds, tight
+/// enough that an operator notices a hung fleet inside a minute.
+const DEFAULT_JOB_TIMEOUT: Duration = Duration::from_secs(30);
 /// Items (edges or signed updates) per [`Message::JobChunk`].
-const SOCKET_DEFAULT_CHUNK_ITEMS: usize = 16 * 1024;
-/// Unacked chunks allowed in flight per connection.
-const SOCKET_DEFAULT_CHUNK_WINDOW: u32 = 4;
-/// Heartbeat probe cadence per connection.
-const SOCKET_DEFAULT_HEARTBEAT_EVERY: Duration = Duration::from_millis(100);
+const DEFAULT_CHUNK_ITEMS: usize = 16 * 1024;
+/// Unacked chunks allowed in flight per link.
+const DEFAULT_CHUNK_WINDOW: u32 = 4;
+/// Heartbeat probe cadence per link.
+const DEFAULT_HEARTBEAT_EVERY: Duration = Duration::from_millis(100);
 /// Unanswered-probe age that turns a worker suspect.
-const SOCKET_DEFAULT_SUSPECT_AFTER: Duration = Duration::from_millis(400);
+const DEFAULT_SUSPECT_AFTER: Duration = Duration::from_millis(400);
 /// Unanswered-probe age that declares a worker dead.
-const SOCKET_DEFAULT_DEAD_AFTER: Duration = Duration::from_secs(3);
-/// How long an empty registry waits for a (re)connection before the
-/// remaining shards degrade to inline builds.
-const SOCKET_DEFAULT_JOIN_GRACE: Duration = Duration::from_secs(5);
+const DEFAULT_DEAD_AFTER: Duration = Duration::from_secs(3);
+/// How long an empty registry with a listener waits for a
+/// (re)connection before the remaining shards degrade to inline builds.
+const DEFAULT_JOIN_GRACE: Duration = Duration::from_secs(5);
+
+impl ProcessRunner {
+    /// A runner over `processes ≥ 1` pipe workers spawned via `command`
+    /// ([`Coordinator::pipes`]).
+    pub fn new(cfg: DistConfig, command: WorkerCommand, processes: usize) -> Self {
+        Self::pipes(cfg, command, processes)
+    }
+}
 
 impl SocketRunner {
-    /// Loopback self-spawn mode: bind an ephemeral loopback port and
-    /// launch `processes ≥ 1` copies of `command` with
-    /// `--connect ADDR` appended.
+    /// A runner over `processes ≥ 1` loopback TCP workers spawned via
+    /// `command` ([`Coordinator::loopback`]).
     pub fn new(cfg: DistConfig, command: WorkerCommand, processes: usize) -> Self {
-        assert!(processes >= 1, "need at least one worker process");
-        SocketRunner {
+        Self::loopback(cfg, command, processes)
+    }
+}
+
+impl<R> Coordinator<R> {
+    fn with_workers(cfg: DistConfig, workers: Workers, processes: usize) -> Self {
+        Coordinator {
             cfg,
-            command: Some(command),
+            workers,
             processes,
-            listen: "127.0.0.1:0".to_string(),
-            fan_in: SOCKET_DEFAULT_FAN_IN,
-            batch: SOCKET_DEFAULT_BATCH,
+            fan_in: DEFAULT_FAN_IN,
+            batch: DEFAULT_BATCH,
             ship: ShipFormat::Binary,
             fault_plan: FaultPlan::none(),
-            job_timeout: SOCKET_DEFAULT_JOB_TIMEOUT,
+            job_timeout: DEFAULT_JOB_TIMEOUT,
             retry: RetryPolicy::default(),
-            chunk_items: SOCKET_DEFAULT_CHUNK_ITEMS,
-            chunk_window: SOCKET_DEFAULT_CHUNK_WINDOW,
-            heartbeat_every: SOCKET_DEFAULT_HEARTBEAT_EVERY,
-            suspect_after: SOCKET_DEFAULT_SUSPECT_AFTER,
-            dead_after: SOCKET_DEFAULT_DEAD_AFTER,
-            join_grace: SOCKET_DEFAULT_JOIN_GRACE,
+            chunk_items: DEFAULT_CHUNK_ITEMS,
+            chunk_window: DEFAULT_CHUNK_WINDOW,
+            heartbeat_every: DEFAULT_HEARTBEAT_EVERY,
+            suspect_after: DEFAULT_SUSPECT_AFTER,
+            dead_after: DEFAULT_DEAD_AFTER,
+            join_grace: DEFAULT_JOIN_GRACE,
             late_spawns: Vec::new(),
+            report: PhantomData,
         }
+    }
+
+    /// Pipe mode: spawn `processes ≥ 1` copies of `command`, each
+    /// speaking the framed protocol on its stdin/stdout.
+    pub fn pipes(cfg: DistConfig, command: WorkerCommand, processes: usize) -> Self {
+        assert!(processes >= 1, "need at least one worker process");
+        Self::with_workers(cfg, Workers::Pipes(command), processes)
+    }
+
+    /// Loopback TCP mode: bind an ephemeral loopback port and launch
+    /// `processes ≥ 1` copies of `command` with `--connect ADDR`
+    /// appended.
+    pub fn loopback(cfg: DistConfig, command: WorkerCommand, processes: usize) -> Self {
+        assert!(processes >= 1, "need at least one worker process");
+        let workers = Workers::Tcp {
+            listen: "127.0.0.1:0".to_string(),
+            command: Some(command),
+        };
+        Self::with_workers(cfg, workers, processes)
     }
 
     /// Listen mode: bind `addr` (e.g. `0.0.0.0:7700`) and serve
@@ -489,25 +704,11 @@ impl SocketRunner {
     /// processes. No workers are spawned; if none connects within the
     /// join grace, every shard is built inline.
     pub fn listen(cfg: DistConfig, addr: impl Into<String>) -> Self {
-        SocketRunner {
-            cfg,
-            command: None,
-            processes: 0,
+        let workers = Workers::Tcp {
             listen: addr.into(),
-            fan_in: SOCKET_DEFAULT_FAN_IN,
-            batch: SOCKET_DEFAULT_BATCH,
-            ship: ShipFormat::Binary,
-            fault_plan: FaultPlan::none(),
-            job_timeout: SOCKET_DEFAULT_JOB_TIMEOUT,
-            retry: RetryPolicy::default(),
-            chunk_items: SOCKET_DEFAULT_CHUNK_ITEMS,
-            chunk_window: SOCKET_DEFAULT_CHUNK_WINDOW,
-            heartbeat_every: SOCKET_DEFAULT_HEARTBEAT_EVERY,
-            suspect_after: SOCKET_DEFAULT_SUSPECT_AFTER,
-            dead_after: SOCKET_DEFAULT_DEAD_AFTER,
-            join_grace: SOCKET_DEFAULT_JOIN_GRACE,
-            late_spawns: Vec::new(),
-        }
+            command: None,
+        };
+        Self::with_workers(cfg, workers, 0)
     }
 
     /// Override the reduce fan-in (`≥ 2`).
@@ -525,8 +726,9 @@ impl SocketRunner {
     }
 
     /// Override the ship format for worker replies and the reduce.
-    /// [`ShipFormat::InMemory`] cannot cross a socket and is mapped to
-    /// [`ShipFormat::Binary`] for the replies.
+    /// [`ShipFormat::InMemory`] cannot cross a link and is mapped to
+    /// [`ShipFormat::Binary`] for the replies (the reduce still honors
+    /// it).
     pub fn with_ship_format(mut self, ship: ShipFormat) -> Self {
         self.ship = ship;
         self
@@ -536,15 +738,17 @@ impl SocketRunner {
     /// faults (crash/hang/delay/corrupt) ride in the `ChunkStart*`
     /// frame and are executed by the worker at stream completion;
     /// network faults (drop/stall/dup) are executed coordinator-side by
-    /// the connection's fault-aware writer. Each shard's fault is
-    /// consumed on its first dispatch.
+    /// the link's fault-aware writer. Each shard's fault is consumed on
+    /// its first dispatch.
     pub fn with_fault_plan(mut self, plan: FaultPlan) -> Self {
         self.fault_plan = plan;
         self
     }
 
-    /// Override the per-job deadline (must exceed any injected stall or
-    /// the stall is indistinguishable from a hang and gets reaped).
+    /// Override the per-job deadline. A worker that has not replied
+    /// within this window is reaped and its shard requeued — the only
+    /// detector that catches a *hung* worker. It must exceed any
+    /// injected stall, or the stall is indistinguishable from a hang.
     pub fn with_job_timeout(mut self, timeout: Duration) -> Self {
         assert!(!timeout.is_zero(), "job timeout must be positive");
         self.job_timeout = timeout;
@@ -566,7 +770,7 @@ impl SocketRunner {
         self
     }
 
-    /// Override the per-connection ack window (`≥ 1` unacked chunks).
+    /// Override the per-link ack window (`≥ 1` unacked chunks).
     pub fn with_chunk_window(mut self, window: u32) -> Self {
         assert!(window >= 1, "window must be at least 1");
         self.chunk_window = window;
@@ -588,14 +792,15 @@ impl SocketRunner {
     }
 
     /// How long an empty registry waits for a (re)connection before the
-    /// remaining shards degrade to inline builds.
+    /// remaining shards degrade to inline builds. Only a listener can
+    /// admit a replacement, so pipe workers never wait.
     pub fn with_join_grace(mut self, grace: Duration) -> Self {
         self.join_grace = grace;
         self
     }
 
     /// Schedule one extra worker process to be spawned `after` the run
-    /// starts (loopback mode only) — deterministic late-joiner
+    /// starts (pipe and loopback modes) — deterministic late-joiner
     /// admission for tests and the chaos suite. May be called multiple
     /// times.
     pub fn with_late_worker_after(mut self, after: Duration) -> Self {
@@ -603,7 +808,7 @@ impl SocketRunner {
         self
     }
 
-    /// The reply encoding actually used on the sockets.
+    /// The reply encoding actually used on the links.
     fn pipe_format(&self) -> ShipFormat {
         match self.ship {
             ShipFormat::Json => ShipFormat::Json,
@@ -611,10 +816,9 @@ impl SocketRunner {
         }
     }
 
-    /// Bind, spawn/accept workers, and drive every shard job to a
-    /// snapshot. See the module docs for the thread shape; the recovery
-    /// discipline mirrors `ProcessRunner::dispatch` with liveness
-    /// generalized from "pipe EOF" to heartbeat grading.
+    /// Start the workers and drive every shard job to a snapshot. See
+    /// the module docs for the thread shape and the type-level docs for
+    /// the recovery discipline.
     fn dispatch<Snap>(
         &self,
         n_shards: usize,
@@ -622,28 +826,38 @@ impl SocketRunner {
         extract: impl Fn(Message) -> Option<Snap>,
         inline: impl Fn(usize) -> Snap,
     ) -> Result<(Vec<Snap>, SocketRunStats), RunError> {
-        let listener = TcpListener::bind(&self.listen)?;
-        let addr = listener.local_addr()?.to_string();
-        let (tx, rx) = channel::<SockEvent>();
+        let listener = match &self.workers {
+            Workers::Tcp { listen, .. } => Some(TcpListener::bind(listen)?),
+            Workers::Pipes(_) => None,
+        };
+        let addr = match &listener {
+            Some(l) => l.local_addr()?.to_string(),
+            None => String::new(),
+        };
+        let (tx, rx) = channel::<Event>();
         let stop = Arc::new(AtomicBool::new(false));
-        let acceptor = spawn_acceptor(listener, stop.clone(), tx.clone());
+        let acceptor = listener.map(|l| spawn_acceptor(l, stop.clone(), tx.clone()));
 
         let started = Instant::now();
         let mut children: Vec<Child> = Vec::new();
+        let mut spawned: Vec<Link> = Vec::new();
         let mut pending_spawns: Vec<Instant> = Vec::new();
-        if let Some(command) = &self.command {
+        // Listen mode (`processes == 0`) spawns no workers of its own.
+        if self.processes > 0 {
             let want = self.processes.min(n_shards).max(1);
             let mut spawn_err: Option<std::io::Error> = None;
             for _ in 0..want {
-                match command.spawn_connected(&addr) {
-                    Ok(child) => children.push(child),
+                match self.workers.spawn(&addr, &mut children) {
+                    Ok(link) => spawned.extend(link),
                     Err(e) => spawn_err = Some(e),
                 }
             }
-            if children.is_empty() {
+            if children.is_empty() && spawned.is_empty() {
                 stop.store(true, Ordering::Release);
                 drop(tx);
-                let _ = acceptor.join();
+                if let Some(acceptor) = acceptor {
+                    let _ = acceptor.join();
+                }
                 return Err(RunError::Spawn(spawn_err.unwrap_or_else(|| {
                     std::io::Error::other("no worker could be spawned")
                 })));
@@ -671,6 +885,56 @@ impl SocketRunner {
         // nobody connects to still terminates (inline).
         let mut empty_since: Option<Instant> = Some(started);
 
+        // Admit a link: start its reader and writer, and send the
+        // handshake probe whose first echo moves the worker joining →
+        // live, so it becomes dispatchable.
+        macro_rules! admit {
+            ($link:expr) => {{
+                let Link {
+                    peer,
+                    input,
+                    output,
+                    sever,
+                } = $link;
+                let ci = registry.admit(peer, dispatch_started);
+                stats.workers_joined += 1;
+                if dispatch_started {
+                    stats.late_joiners += 1;
+                }
+                let shared = Arc::new(Shared {
+                    acked: AtomicU32::new(0),
+                    gone: AtomicBool::new(false),
+                    sever,
+                });
+                let (cmd_tx, cmd_rx) = channel::<WriteCmd>();
+                let reader = spawn_conn_reader(ci, input, tx.clone());
+                let writer = spawn_conn_writer(
+                    ci,
+                    output,
+                    shared.clone(),
+                    cmd_rx,
+                    self.chunk_window,
+                    tx.clone(),
+                );
+                nonce_counter += 1;
+                let _ = cmd_tx.send(WriteCmd::Frame(Message::Heartbeat {
+                    nonce: nonce_counter,
+                }));
+                registry.note_probe(ci, nonce_counter, Instant::now());
+                conns.push(Conn {
+                    shared,
+                    cmd: Some(cmd_tx),
+                    reader: Some(reader),
+                    writer: Some(writer),
+                    inflight: None,
+                    sent_all: false,
+                    chunks_total: 0,
+                    overlap_counted: false,
+                });
+                empty_since = None;
+            }};
+        }
+
         // A shard's dispatch failed: retry after a backoff, or build it
         // inline once its attempts or the run-wide budget run out.
         macro_rules! fail_shard {
@@ -691,8 +955,8 @@ impl SocketRunner {
             }};
         }
 
-        // Declare a connection dead: sever it, unblock its writer, and
-        // requeue whatever it owed.
+        // Declare a link dead: sever it, unblock its writer, and requeue
+        // whatever it owed.
         macro_rules! reap_conn {
             ($ci:expr) => {{
                 let ci = $ci;
@@ -701,8 +965,8 @@ impl SocketRunner {
                 }
                 registry.mark_dead(ci);
                 wheel.disarm(ci);
-                conns[ci].gone.store(true, Ordering::Release);
-                let _ = conns[ci].stream.shutdown(Shutdown::Both);
+                conns[ci].shared.gone.store(true, Ordering::Release);
+                (conns[ci].shared.sever)();
                 conns[ci].cmd = None;
                 if let Some(shard) = conns[ci].inflight.take() {
                     fail_shard!(shard);
@@ -713,21 +977,23 @@ impl SocketRunner {
             }};
         }
 
+        for link in spawned {
+            admit!(link);
+        }
+
         while resolved < n_shards {
             let now = Instant::now();
 
-            // Late spawns whose time has come (loopback mode).
-            if let Some(command) = &self.command {
-                while pending_spawns.first().is_some_and(|&at| at <= now) {
-                    pending_spawns.remove(0);
-                    if let Ok(child) = command.spawn_connected(&addr) {
-                        children.push(child);
-                    }
+            // Late spawns whose time has come.
+            while pending_spawns.first().is_some_and(|&at| at <= now) {
+                pending_spawns.remove(0);
+                if let Ok(Some(link)) = self.workers.spawn(&addr, &mut children) {
+                    admit!(link);
                 }
             }
 
-            // Assign phase: every live idle connection takes the next
-            // shard whose backoff has matured.
+            // Assign phase: every live idle link takes the next shard
+            // whose backoff has matured.
             loop {
                 let now = Instant::now();
                 let Some(ci) = (0..conns.len()).find(|&ci| {
@@ -760,7 +1026,7 @@ impl SocketRunner {
                 stats.chunks_streamed += plan.chunks.len();
                 dispatch_started = true;
                 let conn = &mut conns[ci];
-                conn.acked.store(0, Ordering::Release);
+                conn.shared.acked.store(0, Ordering::Release);
                 conn.sent_all = false;
                 conn.chunks_total = chunks_total;
                 conn.overlap_counted = false;
@@ -781,14 +1047,14 @@ impl SocketRunner {
                     wheel.arm(ci, now + self.job_timeout);
                 } else {
                     // Writer already gone: free requeue (no attempt
-                    // spent), like a pipe write failure.
+                    // spent).
                     stats.shards_requeued += 1;
                     queue.push_front(shard);
                     reap_conn!(ci);
                 }
             }
 
-            // Probe phase: a fixed cadence per connection, one probe
+            // Probe phase: a fixed cadence per link, one probe
             // outstanding at a time (the oldest governs liveness).
             let now = Instant::now();
             if now >= next_probe {
@@ -825,11 +1091,12 @@ impl SocketRunner {
                 break;
             }
 
-            // Degradation: registry empty, nothing scheduled to join,
-            // grace expired → build the rest inline.
+            // Degradation: registry empty and nothing scheduled to join
+            // → build the rest inline, at once when no listener can
+            // admit a replacement, else once the join grace expires.
             if registry.usable_count() == 0 && pending_spawns.is_empty() {
-                let since = empty_since.get_or_insert(now);
-                if now.saturating_duration_since(*since) >= self.join_grace {
+                let since = *empty_since.get_or_insert(now);
+                if acceptor.is_none() || now.saturating_duration_since(since) >= self.join_grace {
                     break;
                 }
             }
@@ -857,57 +1124,10 @@ impl SocketRunner {
             }
 
             match rx.recv_timeout(wake.saturating_duration_since(Instant::now())) {
-                Ok(SockEvent::Joined(stream)) => {
-                    let peer = stream
-                        .peer_addr()
-                        .map(|a| a.to_string())
-                        .unwrap_or_else(|_| "unknown".to_string());
-                    let _ = stream.set_nodelay(true);
-                    let (Ok(rstream), Ok(wstream)) = (stream.try_clone(), stream.try_clone())
-                    else {
-                        continue;
-                    };
-                    let ci = registry.admit(peer, dispatch_started);
-                    stats.workers_joined += 1;
-                    if dispatch_started {
-                        stats.late_joiners += 1;
-                    }
-                    let (cmd_tx, cmd_rx) = channel::<WriteCmd>();
-                    let acked = Arc::new(AtomicU32::new(0));
-                    let gone = Arc::new(AtomicBool::new(false));
-                    let reader = spawn_conn_reader(ci, rstream, tx.clone());
-                    let writer = spawn_conn_writer(
-                        ci,
-                        wstream,
-                        cmd_rx,
-                        acked.clone(),
-                        gone.clone(),
-                        self.chunk_window,
-                        tx.clone(),
-                    );
-                    // Handshake probe: the first echo moves the worker
-                    // joining → live and it becomes dispatchable.
-                    nonce_counter += 1;
-                    let nonce = nonce_counter;
-                    let _ = cmd_tx.send(WriteCmd::Frame(Message::Heartbeat { nonce }));
-                    registry.note_probe(ci, nonce, Instant::now());
-                    conns.push(Conn {
-                        stream,
-                        cmd: Some(cmd_tx),
-                        reader: Some(reader),
-                        writer: Some(writer),
-                        acked,
-                        gone,
-                        inflight: None,
-                        sent_all: false,
-                        chunks_total: 0,
-                        overlap_counted: false,
-                    });
-                    empty_since = None;
-                }
-                Ok(SockEvent::Frame(ci, Ok((msg, bytes)))) => {
+                Ok(Event::Joined(link)) => admit!(link),
+                Ok(Event::Frame(ci, Ok((msg, bytes)))) => {
                     if !registry.usable(ci) {
-                        continue; // Stale event from a reaped connection.
+                        continue; // Stale event from a reaped link.
                     }
                     match msg {
                         Message::Heartbeat { nonce } => {
@@ -916,7 +1136,7 @@ impl SocketRunner {
                         Message::ChunkAck { shard, index } => {
                             let conn = &mut conns[ci];
                             if conn.inflight == Some(shard as usize) {
-                                conn.acked.store(index + 1, Ordering::Release);
+                                conn.shared.acked.store(index + 1, Ordering::Release);
                                 if !conn.sent_all
                                     && index + 1 < conn.chunks_total
                                     && !conn.overlap_counted
@@ -958,7 +1178,7 @@ impl SocketRunner {
                         }
                     }
                 }
-                Ok(SockEvent::Frame(ci, Err(e))) => {
+                Ok(Event::Frame(ci, Err(e))) => {
                     if !registry.usable(ci) {
                         continue;
                     }
@@ -969,12 +1189,12 @@ impl SocketRunner {
                     }
                     reap_conn!(ci);
                 }
-                Ok(SockEvent::SentAll(ci, shard)) => {
+                Ok(Event::SentAll(ci, shard)) => {
                     if registry.usable(ci) && conns[ci].inflight == Some(shard) {
                         conns[ci].sent_all = true;
                     }
                 }
-                Ok(SockEvent::WriteErr(ci)) => {
+                Ok(Event::WriteErr(ci)) => {
                     if registry.usable(ci) {
                         reap_conn!(ci);
                     }
@@ -1014,7 +1234,7 @@ impl SocketRunner {
                     let _ = cmd.send(WriteCmd::Stop);
                 }
             }
-            conn.gone.store(true, Ordering::Release);
+            conn.shared.gone.store(true, Ordering::Release);
         }
         for child in &mut children {
             let _ = child.kill();
@@ -1022,7 +1242,7 @@ impl SocketRunner {
         }
         for conn in &mut conns {
             conn.cmd = None;
-            let _ = conn.stream.shutdown(Shutdown::Both);
+            (conn.shared.sever)();
             if let Some(writer) = conn.writer.take() {
                 let _ = writer.join();
             }
@@ -1031,7 +1251,9 @@ impl SocketRunner {
             }
         }
         drop(tx);
-        let _ = acceptor.join();
+        if let Some(acceptor) = acceptor {
+            let _ = acceptor.join();
+        }
 
         stats.suspect_transitions = registry.suspect_transitions();
         stats.suspect_recoveries = registry.suspect_recoveries();
@@ -1047,12 +1269,15 @@ impl SocketRunner {
         ))
     }
 
-    /// Run the insertion-only pipeline over TCP workers.
+    /// Run the insertion-only pipeline over the workers.
     ///
-    /// Returns `Err` only when the listener cannot bind or (in loopback
-    /// mode) not a single worker could be spawned; every failure after
-    /// that is recovered per the type-level docs.
-    pub fn run(&self, stream: &dyn EdgeStream) -> Result<SocketResult, RunError> {
+    /// Returns `Err` only when the listener cannot bind or not a single
+    /// worker could be spawned; every failure after that is recovered
+    /// per the type-level docs.
+    pub fn run(&self, stream: &dyn EdgeStream) -> Result<R, RunError>
+    where
+        R: From<SocketResult>,
+    {
         let cfg = &self.cfg;
         let params = cfg.sketch_params(stream.num_sets());
         let ship = self.pipe_format();
@@ -1106,10 +1331,11 @@ impl SocketRunner {
             partition_ns,
             map_ns,
             reduce_solve_ns,
-        })
+        }
+        .into())
     }
 
-    /// Run the dynamic (insert/delete) pipeline over TCP workers.
+    /// Run the dynamic (insert/delete) pipeline over the workers.
     ///
     /// # Panics
     ///

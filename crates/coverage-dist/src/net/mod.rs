@@ -1,17 +1,18 @@
-//! TCP socket workers: the distributed runtime over a transport that
-//! can actually lose things.
+//! The worker coordinator and its parts: the distributed runtime over
+//! transports that can actually lose things.
 //!
-//! The pipe executor ([`crate::ProcessRunner`]) owns its workers'
-//! stdin/stdout, so the only failure it ever sees is a clean EOF. Real
-//! networks fail differently — silent hangs, half-open connections,
-//! partitions, slow links — and this module rebuilds the same map →
-//! tree-reduce → solve pipeline on primitives that survive them:
+//! Worker processes fail in more ways than a clean EOF — silent hangs,
+//! half-open or stalled links, partitions, slow links — and this module
+//! runs the map → tree-reduce → solve pipeline on primitives that
+//! survive them, over pipe and TCP workers alike:
 //!
-//! - [`listener::SocketRunner`] — the coordinator: listens on a TCP
-//!   address, accepts workers started as `coverage worker --connect
-//!   HOST:PORT` (or self-spawns them on loopback), and drives the run
-//!   with the same framed protocol ([`crate::proto`]) the pipes use —
-//!   the CVPR framing is transport-agnostic by design.
+//! - [`listener::Coordinator`] — the one coordinator, over duplex
+//!   worker links: a child's stdin/stdout pipes
+//!   ([`ProcessRunner`]) or TCP connections ([`SocketRunner`]), accepted
+//!   from workers started as `coverage worker --connect HOST:PORT` (or
+//!   self-spawned on loopback). Both speak the same framed protocol
+//!   ([`crate::proto`]) — the CVPR framing is transport-agnostic by
+//!   design.
 //! - [`registry`] — the worker registry: heartbeat-probe liveness
 //!   grading (joining → live → suspect → dead), per-worker RTT stats,
 //!   and admission of late or rejoining workers mid-run.
@@ -30,5 +31,8 @@ pub mod listener;
 pub mod registry;
 
 pub use chunk::{ChunkPlan, ChunkVerdict, ChunkedBuild};
-pub use listener::{DynSocketResult, SocketResult, SocketRunStats, SocketRunner};
+pub use listener::{
+    Coordinator, DynSocketResult, ProcessResult, ProcessRunner, SocketResult, SocketRunStats,
+    SocketRunner,
+};
 pub use registry::{HeartbeatStats, Liveness, WorkerRegistry, WorkerState, WorkerSummary};

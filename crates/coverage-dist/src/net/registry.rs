@@ -1,16 +1,16 @@
-//! The coordinator's **worker registry**: one entry per TCP connection,
-//! tracking identity (id + peer address), liveness state, work in
-//! flight, shards completed, and heartbeat round-trip latency.
+//! The coordinator's **worker registry**: one entry per worker link (a
+//! pipe worker or a TCP connection), tracking identity (id + peer),
+//! liveness state, work in flight, shards completed, and heartbeat
+//! round-trip latency.
 //!
-//! Liveness on a socket cannot mean "pipe EOF": a partitioned or
-//! half-open link delivers no signal at all. The registry therefore
-//! grades each worker by the age of its oldest unanswered heartbeat
-//! probe: under `suspect_after` the worker is [`WorkerState::Live`],
-//! between `suspect_after` and `dead_after` it is
-//! [`WorkerState::Suspect`] (no new shards, existing job keeps its
-//! deadline), and past `dead_after` it is declared
-//! [`WorkerState::Dead`] — its connection is severed and its in-flight
-//! shard requeued. An echo at any point before death snaps the worker
+//! Liveness cannot mean "EOF": a partitioned, half-open or stalled link
+//! delivers no signal at all. The registry therefore grades each worker
+//! by the age of its oldest unanswered heartbeat probe: under
+//! `suspect_after` the worker is [`WorkerState::Live`], between
+//! `suspect_after` and `dead_after` it is [`WorkerState::Suspect`] (no
+//! new shards, existing job keeps its deadline), and past `dead_after`
+//! it is declared [`WorkerState::Dead`] — its link is severed and its
+//! in-flight shard requeued. An echo at any point before death snaps the worker
 //! back to [`WorkerState::Live`] (a *recovery*, counted separately). A
 //! false positive is always safe: shard jobs are self-contained and
 //! `merge_from` is associative/commutative, so requeueing a shard that a
@@ -106,13 +106,14 @@ impl HeartbeatStats {
 }
 
 /// A read-only snapshot of one registry entry, surfaced on
-/// [`SocketResult`](crate::net::SocketResult) so tests and operators can
-/// see exactly which worker did what.
+/// [`SocketRunStats`](crate::net::SocketRunStats) so tests and operators
+/// can see exactly which worker did what.
 #[derive(Clone, Debug)]
 pub struct WorkerSummary {
     /// Registry id (connection order).
     pub id: usize,
-    /// Peer address as reported by the accepted socket.
+    /// Peer: the accepted socket's address, or `pid N` for a pipe
+    /// worker.
     pub addr: String,
     /// Final liveness state.
     pub state: WorkerState,
@@ -174,8 +175,7 @@ impl WorkerRegistry {
         self.entries.is_empty()
     }
 
-    /// Admit a new connection in [`WorkerState::Joining`]; returns its
-    /// id.
+    /// Admit a new link in [`WorkerState::Joining`]; returns its id.
     pub fn admit(&mut self, addr: String, late_joiner: bool) -> usize {
         let id = self.entries.len();
         self.entries.push(Entry {

@@ -1,38 +1,30 @@
 //! The map/reduce/solve drivers over simulated machines — the reference
-//! executors for both stream models.
+//! executors for both stream models — plus what every executor shares:
+//! [`DistConfig`], the typed [`RunError`], the [`RetryPolicy`] and
+//! deadline wheel of the worker coordinator, and [`WorkerCommand`], how
+//! the coordinator ([`crate::net::Coordinator`]) starts worker processes.
 //!
 //! Every executor here shares one **determinism contract** with the
-//! parallel runner in [`crate::parallel`]: for a fixed [`DistConfig`]
-//! (machines, seed, sizing), the selected cover is a pure function of
-//! the input edge (multi)set — independent of threading, machine count
-//! beyond sharding, merge order, and (for the dynamic pipeline) of the
-//! interleaving of inserts and deletes. [`DistConfig::shard_seed`] and
+//! parallel runner in [`crate::parallel`] and the worker coordinator:
+//! for a fixed [`DistConfig`] (machines, seed, sizing), the selected
+//! cover is a pure function of the input edge (multi)set — independent
+//! of threading, machine count beyond sharding, merge order, and (for
+//! the dynamic pipeline) of the interleaving of inserts and deletes.
+//! [`DistConfig::shard_seed`] and
 //! [`DistConfig::sketch_params`]/[`DistConfig::dynamic_sketch_params`]
 //! centralize the two knobs every executor must agree on for that to
 //! hold.
 
-use std::collections::VecDeque;
-use std::io::BufReader;
 use std::path::PathBuf;
-use std::process::{Child, ChildStdin, ChildStdout, Command, Stdio};
-use std::sync::mpsc::{channel, RecvTimeoutError, Sender};
-use std::thread::JoinHandle;
+use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
 use coverage_core::offline::bucket_greedy_k_cover;
 use coverage_core::SetId;
-use coverage_sketch::{
-    DynamicSketch, DynamicSketchParams, DynamicSnapshot, SketchSizing, SketchSnapshot,
-    ThresholdSketch,
-};
+use coverage_sketch::{DynamicSketch, DynamicSketchParams, SketchSizing, ThresholdSketch};
 use coverage_stream::{DynamicEdgeStream, EdgeStream, SpaceReport};
 
-use crate::fault::{Fault, FaultPlan};
-use crate::net::registry::HeartbeatStats;
-use crate::parallel::{partition_edges, partition_updates};
 use crate::partition::{DynamicShardedStream, ShardedStream};
-use crate::proto::{read_message, write_message, Message, ProtoError};
-use crate::rounds::{tree_reduce_with, RoundsReport, ShipFormat};
 
 /// A failure that ends a run with a typed error instead of a panic.
 ///
@@ -118,11 +110,12 @@ impl RetryPolicy {
     }
 }
 
-/// Per-worker job deadlines. A "wheel" in spirit only: with at most a
-/// handful of workers a linear scan beats any bucketed structure, so the
-/// slots are a plain vector indexed by worker. Shared with the socket
-/// executor ([`crate::net`]), whose registry grows as workers connect —
-/// hence [`arm`](Self::arm) grows the slot vector on demand.
+/// Per-worker job deadlines of the worker coordinator
+/// ([`crate::net::Coordinator`]). A "wheel" in spirit only: with at most
+/// a handful of workers a linear scan beats any bucketed structure, so
+/// the slots are a plain vector indexed by worker. The registry grows as
+/// workers join, hence [`arm`](Self::arm) grows the slot vector on
+/// demand.
 pub(crate) struct DeadlineWheel {
     slots: Vec<Option<Instant>>,
 }
@@ -400,7 +393,8 @@ pub(crate) fn solve_dynamic_locals(locals: Vec<DynamicSketch>, cfg: &DistConfig)
 }
 
 /// How to start one worker subprocess: a program plus the arguments
-/// that put it into worker mode (reading framed jobs on stdin).
+/// that put it into worker mode (serving framed jobs on stdin/stdout,
+/// or over TCP with `--connect ADDR` appended).
 #[derive(Clone, Debug)]
 pub struct WorkerCommand {
     program: PathBuf,
@@ -422,7 +416,9 @@ impl WorkerCommand {
         Ok(Self::new(std::env::current_exe()?, args))
     }
 
-    fn spawn(&self) -> std::io::Result<Child> {
+    /// Spawn the worker with piped stdin/stdout — a pipe worker's link
+    /// ([`crate::ProcessRunner`]).
+    pub(crate) fn spawn(&self) -> std::io::Result<Child> {
         Command::new(&self.program)
             .args(&self.args)
             .stdin(Stdio::piped())
@@ -432,9 +428,9 @@ impl WorkerCommand {
     }
 
     /// Spawn the worker with `--connect ADDR` appended and **no**
-    /// parent-owned protocol pipes — how the socket executor
-    /// ([`crate::net::SocketRunner`]) launches loopback workers: the
-    /// framed protocol rides the TCP connection the child dials back.
+    /// parent-owned protocol pipes — how [`crate::SocketRunner`]
+    /// launches loopback workers: the framed protocol rides the TCP
+    /// connection the child dials back.
     pub(crate) fn spawn_connected(&self, addr: &str) -> std::io::Result<Child> {
         Command::new(&self.program)
             .args(&self.args)
@@ -444,776 +440,6 @@ impl WorkerCommand {
             .stdout(Stdio::null())
             .stderr(Stdio::inherit())
             .spawn()
-    }
-}
-
-/// What a worker currently owes the parent.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Inflight {
-    /// Nothing outstanding; eligible for a job.
-    Idle,
-    /// Owes the echo of a liveness probe with this nonce.
-    Probe(u64),
-    /// Owes the reply for this shard's job.
-    Shard(usize),
-}
-
-/// One spawned worker: the child process, our write end, and the
-/// dedicated reader thread draining its stdout into the shared event
-/// channel (so a hung worker blocks its reader, never the parent).
-struct WorkerSlot {
-    child: Child,
-    stdin: Option<ChildStdin>,
-    reader: Option<JoinHandle<()>>,
-    alive: bool,
-    inflight: Inflight,
-    /// When the outstanding liveness probe was written, so its echo
-    /// yields a round-trip sample for [`HeartbeatStats`].
-    probe_sent: Option<Instant>,
-}
-
-impl WorkerSlot {
-    fn mark_dead(&mut self) {
-        self.alive = false;
-        // Drop our end of its stdin so a still-running process sees EOF
-        // and exits instead of blocking forever on a read.
-        self.stdin = None;
-    }
-}
-
-/// One event from a worker's reader thread: worker index plus either a
-/// decoded reply frame (with its wire size) or the typed read failure
-/// that ended the stream.
-type WorkerEvent = (usize, Result<(Message, u64), ProtoError>);
-
-/// Drain `stdout` into `tx` until the stream ends; the terminal error
-/// (including clean [`ProtoError::Eof`]) is forwarded as the thread's
-/// last event so the parent observes *why* the stream ended.
-fn spawn_reader(
-    wi: usize,
-    mut stdout: BufReader<ChildStdout>,
-    tx: Sender<WorkerEvent>,
-) -> JoinHandle<()> {
-    std::thread::spawn(move || loop {
-        match read_message(&mut stdout) {
-            Ok(ok) => {
-                if tx.send((wi, Ok(ok))).is_err() {
-                    return;
-                }
-            }
-            Err(e) => {
-                let _ = tx.send((wi, Err(e)));
-                return;
-            }
-        }
-    })
-}
-
-/// Bookkeeping shared by both dispatch loops.
-struct DispatchOutcome<Snap> {
-    snapshots: Vec<Snap>,
-    workers_spawned: usize,
-    workers_lost: usize,
-    shards_resharded: usize,
-    shards_built_inline: usize,
-    deadline_reaps: usize,
-    retries: usize,
-    proto_faults: usize,
-    wire_bytes: u64,
-    heartbeat: HeartbeatStats,
-}
-
-/// Result of a [`ProcessRunner`] insertion-only run: the
-/// [`DistResult`] fields plus reduce accounting and the process-level
-/// fault/recovery counters.
-#[derive(Clone, Debug)]
-pub struct ProcessResult {
-    /// The selected family (identical to the serial and in-process
-    /// parallel executors').
-    pub family: Vec<SetId>,
-    /// Inverse-probability estimate of the family's coverage.
-    pub estimated_coverage: f64,
-    /// The merged sketch's final size (edges).
-    pub merged_edges: usize,
-    /// Tree-reduce round/communication accounting (the parent-side
-    /// reduce over restored worker snapshots).
-    pub rounds: RoundsReport,
-    /// Worker processes spawned.
-    pub workers_spawned: usize,
-    /// Worker processes lost mid-run (crash, kill, or injected fault).
-    pub workers_lost: usize,
-    /// Shard jobs re-dispatched to surviving workers after a loss.
-    pub shards_resharded: usize,
-    /// Shards built inline in the parent because every worker died or a
-    /// shard exhausted its retry allowance.
-    pub shards_built_inline: usize,
-    /// Workers killed by the per-job deadline reaper (hangs and
-    /// over-deadline delays — failures EOF can never surface).
-    pub deadline_reaps: usize,
-    /// Shard jobs re-dispatched after a backoff (a subset of
-    /// `shards_resharded` timing: every retry waited out its
-    /// exponential backoff first).
-    pub retries: usize,
-    /// Typed protocol faults observed on worker pipes (corrupt frames,
-    /// version mismatches, unexpected replies) — each cost that worker
-    /// its life but never the run.
-    pub proto_faults: usize,
-    /// Total pipe bytes of worker reply frames (the map→reduce
-    /// shipment, in the job's [`ShipFormat`] encoding).
-    pub wire_bytes: u64,
-    /// Round-trip latency of answered liveness probes (the handshake
-    /// heartbeats), aggregated over every worker.
-    pub heartbeat: HeartbeatStats,
-    /// Wall-clock nanoseconds partitioning the stream.
-    pub partition_ns: u64,
-    /// Wall-clock nanoseconds dispatching shards and collecting
-    /// snapshots from workers.
-    pub map_ns: u64,
-    /// Wall-clock nanoseconds in the reduce + solve tail.
-    pub reduce_solve_ns: u64,
-}
-
-/// Result of a [`ProcessRunner`] dynamic run: the [`DynDistResult`]
-/// fields plus reduce accounting and fault/recovery counters.
-#[derive(Clone, Debug)]
-pub struct DynProcessResult {
-    /// The selected family (identical to the serial dynamic executor's).
-    pub family: Vec<SetId>,
-    /// Inverse-probability estimate of the family's coverage on the
-    /// surviving graph.
-    pub estimated_coverage: f64,
-    /// The subsampling level the merged sketch decoded at.
-    pub sample_level: usize,
-    /// That level's sampling probability `p = 2^{−level}`.
-    pub sampling_p: f64,
-    /// Surviving edges recovered from the merged sketch.
-    pub recovered_edges: usize,
-    /// Tree-reduce round/communication accounting.
-    pub rounds: RoundsReport,
-    /// Worker processes spawned.
-    pub workers_spawned: usize,
-    /// Worker processes lost mid-run (crash, kill, or injected fault).
-    pub workers_lost: usize,
-    /// Shard jobs re-dispatched to surviving workers after a loss.
-    pub shards_resharded: usize,
-    /// Shards built inline in the parent because every worker died or a
-    /// shard exhausted its retry allowance.
-    pub shards_built_inline: usize,
-    /// Workers killed by the per-job deadline reaper.
-    pub deadline_reaps: usize,
-    /// Shard jobs re-dispatched after a backoff.
-    pub retries: usize,
-    /// Typed protocol faults observed on worker pipes.
-    pub proto_faults: usize,
-    /// Total pipe bytes of worker reply frames.
-    pub wire_bytes: u64,
-    /// Round-trip latency of answered liveness probes (the handshake
-    /// heartbeats), aggregated over every worker.
-    pub heartbeat: HeartbeatStats,
-    /// Wall-clock nanoseconds partitioning the stream.
-    pub partition_ns: u64,
-    /// Wall-clock nanoseconds dispatching shards and collecting
-    /// snapshots from workers.
-    pub map_ns: u64,
-    /// Wall-clock nanoseconds in the reduce + recover + solve tail.
-    pub reduce_solve_ns: u64,
-}
-
-/// The multiprocess executor: real OS worker subprocesses behind the
-/// same map → tree-reduce → solve pipeline as [`crate::ParallelRunner`].
-///
-/// The parent partitions the stream with the *identical*
-/// [`partition_edges`]/[`partition_updates`] + [`DistConfig::shard_seed`]
-/// as the in-process executors, ships each shard to a worker over the
-/// framed pipe protocol ([`crate::proto`]), and tree-reduces the
-/// restored snapshots with the same [`tree_reduce_with`]. Locals are
-/// always ordered by shard index regardless of which worker produced
-/// them, so the reduce sees the exact sequence the in-process executors
-/// see — the selected family is identical (property-tested in
-/// `tests/process_execution.rs`).
-///
-/// ## Worker loss and recovery
-///
-/// Each worker gets a dedicated reader thread and a per-job deadline, so
-/// every way a worker can fail maps to a *typed* observation in the
-/// dispatch loop: a crash is EOF from its reader, a hang or
-/// over-deadline delay is reaped by the internal deadline wheel, a corrupt
-/// reply or version mismatch is a checksum/version error from
-/// [`read_message`]. In every case the worker is killed and its
-/// in-flight shard re-dispatched after an exponential backoff
-/// ([`RetryPolicy`]). Because every shard job is self-contained
-/// (params, seed, edges) and `merge_from` is associative and
-/// commutative, recovery cannot change the result: the same locals are
-/// produced, only by different processes. A shard that exhausts its
-/// attempts or the run-wide retry budget — or outlives every worker —
-/// is built inline in the parent (counted in
-/// [`ProcessResult::shards_built_inline`]) rather than failing the run.
-///
-/// ## Fault injection
-///
-/// A [`FaultPlan`] threads deterministic faults into the job frames
-/// ([`Self::with_fault_plan`]); each shard's planned fault is consumed
-/// on its first dispatch, so the recovery machinery above is exercised
-/// reproducibly from a seed (see `tests/chaos.rs`).
-#[derive(Clone, Debug)]
-pub struct ProcessRunner {
-    cfg: DistConfig,
-    command: WorkerCommand,
-    processes: usize,
-    fan_in: usize,
-    batch: usize,
-    ship: ShipFormat,
-    fail_shards: Vec<usize>,
-    fault_plan: FaultPlan,
-    job_timeout: Duration,
-    retry: RetryPolicy,
-}
-
-/// Update-batch size workers use (mirrors the parallel executor).
-const PROCESS_DEFAULT_BATCH: usize = 1 << 12;
-/// Reduce fan-in (mirrors the parallel executor).
-const PROCESS_DEFAULT_FAN_IN: usize = 4;
-/// Default per-job deadline — generous for real shard builds, tight
-/// enough that an operator notices a hung fleet inside a minute.
-const PROCESS_DEFAULT_JOB_TIMEOUT: Duration = Duration::from_secs(30);
-
-impl ProcessRunner {
-    /// A runner over `processes ≥ 1` workers spawned via `command`.
-    pub fn new(cfg: DistConfig, command: WorkerCommand, processes: usize) -> Self {
-        assert!(processes >= 1, "need at least one worker process");
-        ProcessRunner {
-            cfg,
-            command,
-            processes,
-            fan_in: PROCESS_DEFAULT_FAN_IN,
-            batch: PROCESS_DEFAULT_BATCH,
-            ship: ShipFormat::Binary,
-            fail_shards: Vec::new(),
-            fault_plan: FaultPlan::none(),
-            job_timeout: PROCESS_DEFAULT_JOB_TIMEOUT,
-            retry: RetryPolicy::default(),
-        }
-    }
-
-    /// Override the reduce fan-in (`≥ 2`).
-    pub fn with_fan_in(mut self, fan_in: usize) -> Self {
-        assert!(fan_in >= 2, "fan-in must be at least 2");
-        self.fan_in = fan_in;
-        self
-    }
-
-    /// Override the worker update-batch size (`≥ 1`).
-    pub fn with_batch(mut self, batch: usize) -> Self {
-        assert!(batch >= 1, "batch must be at least 1");
-        self.batch = batch;
-        self
-    }
-
-    /// Override the ship format for worker replies *and* the parent-side
-    /// reduce. [`ShipFormat::InMemory`] cannot cross a pipe and is
-    /// mapped to [`ShipFormat::Binary`] for the replies (the reduce
-    /// still honors it).
-    pub fn with_ship_format(mut self, ship: ShipFormat) -> Self {
-        self.ship = ship;
-        self
-    }
-
-    /// Fault injection shorthand: the *first* dispatch of each listed
-    /// shard index carries a [`Fault::Crash`], making its worker die
-    /// without replying — the simulated worker-kill the recovery tests
-    /// and the BENCH_6 gate exercise. The shard is then re-dispatched
-    /// normally. For richer schedules (hangs, delays, corrupt frames)
-    /// use [`Self::with_fault_plan`]; explicit crashes listed here
-    /// override the plan for those shards.
-    pub fn with_injected_failures(mut self, shards: impl IntoIterator<Item = usize>) -> Self {
-        self.fail_shards = shards.into_iter().collect();
-        self
-    }
-
-    /// Thread a deterministic [`FaultPlan`] through the job frames: each
-    /// shard's scheduled fault is consumed on that shard's first
-    /// dispatch and executed by the worker that receives it.
-    pub fn with_fault_plan(mut self, plan: FaultPlan) -> Self {
-        self.fault_plan = plan;
-        self
-    }
-
-    /// Override the per-job deadline. A worker that has not replied
-    /// within this window is reaped (killed) and its shard re-dispatched
-    /// — the only detector that catches a *hung* worker.
-    pub fn with_job_timeout(mut self, timeout: Duration) -> Self {
-        assert!(!timeout.is_zero(), "job timeout must be positive");
-        self.job_timeout = timeout;
-        self
-    }
-
-    /// Override the retry/backoff discipline for failed shard jobs.
-    pub fn with_retry_policy(mut self, retry: RetryPolicy) -> Self {
-        assert!(retry.max_attempts >= 1, "need at least one attempt");
-        self.retry = retry;
-        self
-    }
-
-    /// The reply encoding actually used on the pipes.
-    fn pipe_format(&self) -> ShipFormat {
-        match self.ship {
-            ShipFormat::Json => ShipFormat::Json,
-            _ => ShipFormat::Binary,
-        }
-    }
-
-    /// Spawn workers and drive every shard job to a snapshot.
-    ///
-    /// Event-driven dispatch: each worker's stdout is drained by a
-    /// dedicated reader thread into one shared channel, and every
-    /// outstanding job (or liveness probe) is armed on the
-    /// [`DeadlineWheel`]. The loop waits for whichever comes first — a
-    /// reply, a deadline expiry, or a backoff maturing — so a hung
-    /// worker can never block the parent. At most one job is outstanding
-    /// per worker, so pipe buffers cannot deadlock. A failed shard
-    /// (crash, reaped hang, corrupt reply) is re-dispatched after an
-    /// exponential backoff until its [`RetryPolicy`] allowance runs out,
-    /// at which point — like any shard that outlives every worker — it
-    /// is built inline via `inline`.
-    fn dispatch<Snap>(
-        &self,
-        n_shards: usize,
-        make_job: impl Fn(usize, Option<Fault>) -> Message,
-        extract: impl Fn(Message) -> Option<Snap>,
-        inline: impl Fn(usize) -> Snap,
-    ) -> Result<DispatchOutcome<Snap>, RunError> {
-        let want = self.processes.min(n_shards).max(1);
-        let (tx, rx) = channel::<WorkerEvent>();
-        let mut slots: Vec<WorkerSlot> = Vec::with_capacity(want);
-        let mut spawn_err: Option<std::io::Error> = None;
-        for wi in 0..want {
-            match self.command.spawn() {
-                Ok(mut child) => {
-                    let stdin = child.stdin.take().expect("worker stdin is piped");
-                    let stdout = child.stdout.take().expect("worker stdout is piped");
-                    slots.push(WorkerSlot {
-                        child,
-                        stdin: Some(stdin),
-                        reader: Some(spawn_reader(wi, BufReader::new(stdout), tx.clone())),
-                        alive: true,
-                        inflight: Inflight::Idle,
-                        probe_sent: None,
-                    });
-                }
-                Err(e) => spawn_err = Some(e),
-            }
-        }
-        // The readers hold the only remaining senders, so `rx` reports
-        // Disconnected exactly when every worker's stream has ended.
-        drop(tx);
-        if slots.is_empty() {
-            return Err(RunError::Spawn(spawn_err.unwrap_or_else(|| {
-                std::io::Error::other("no worker could be spawned")
-            })));
-        }
-        let workers_spawned = slots.len();
-        let mut wheel = DeadlineWheel::new(slots.len());
-
-        let mut faults = self.fault_plan.schedule(n_shards);
-        for &s in &self.fail_shards {
-            if s < n_shards {
-                faults[s] = Some(Fault::Crash);
-            }
-        }
-
-        let started = Instant::now();
-        let mut queue: VecDeque<usize> = (0..n_shards).collect();
-        let mut ready_at: Vec<Instant> = vec![started; n_shards];
-        let mut attempts: Vec<usize> = vec![0; n_shards];
-        let mut snapshots: Vec<Option<Snap>> = (0..n_shards).map(|_| None).collect();
-        let mut resolved = 0usize;
-        let mut retries_spent = 0usize;
-        let mut workers_lost = 0usize;
-        let mut shards_resharded = 0usize;
-        let mut shards_built_inline = 0usize;
-        let mut deadline_reaps = 0usize;
-        let mut retries = 0usize;
-        let mut proto_faults = 0usize;
-        let mut wire_bytes = 0u64;
-        let mut heartbeat = HeartbeatStats::default();
-
-        // Kill a worker and stop tracking its deadline. Its reader
-        // thread drains to EOF on its own; any event it already queued
-        // is discarded later by the `alive` check.
-        macro_rules! reap_worker {
-            ($wi:expr) => {{
-                let wi = $wi;
-                slots[wi].mark_dead();
-                let _ = slots[wi].child.kill();
-                wheel.disarm(wi);
-                workers_lost += 1;
-            }};
-        }
-
-        // A shard's dispatch failed: retry it after a backoff, or build
-        // it inline once its attempts or the run-wide budget run out.
-        macro_rules! fail_shard {
-            ($shard:expr) => {{
-                let shard = $shard;
-                attempts[shard] += 1;
-                retries_spent += 1;
-                if attempts[shard] >= self.retry.max_attempts || retries_spent > self.retry.budget {
-                    snapshots[shard] = Some(inline(shard));
-                    shards_built_inline += 1;
-                    resolved += 1;
-                } else {
-                    retries += 1;
-                    shards_resharded += 1;
-                    ready_at[shard] = Instant::now() + self.retry.backoff_after(attempts[shard]);
-                    queue.push_front(shard);
-                }
-            }};
-        }
-
-        // Handshake: probe every worker before trusting it with a
-        // shard. A live, version-compatible worker echoes the nonce; an
-        // old-version or broken one surfaces as a typed error or EOF
-        // and is reaped before it can eat a job.
-        for wi in 0..slots.len() {
-            let nonce = 0x5052_4F42_0000_0000 | wi as u64;
-            let stdin = slots[wi].stdin.as_mut().expect("alive worker has stdin");
-            match write_message(stdin, &Message::Heartbeat { nonce }) {
-                Ok(_) => {
-                    slots[wi].inflight = Inflight::Probe(nonce);
-                    slots[wi].probe_sent = Some(Instant::now());
-                    wheel.arm(wi, started + self.job_timeout);
-                }
-                Err(_) => reap_worker!(wi),
-            }
-        }
-
-        while resolved < n_shards {
-            if !slots.iter().any(|s| s.alive) {
-                break; // Total worker loss: the tail below builds inline.
-            }
-
-            // Assign phase: every idle worker takes the next shard whose
-            // backoff has matured.
-            loop {
-                let now = Instant::now();
-                let Some(wi) = slots
-                    .iter()
-                    .position(|s| s.alive && s.inflight == Inflight::Idle)
-                else {
-                    break;
-                };
-                let Some(pos) = queue.iter().position(|&s| ready_at[s] <= now) else {
-                    break;
-                };
-                let shard = queue.remove(pos).expect("position is in range");
-                // Network faults (drop/stall/dup) model the transport;
-                // on parent-owned pipes there is no transport to break,
-                // so only worker faults ride in pipe jobs. The socket
-                // executor injects the network kinds itself.
-                let fault = faults[shard].take().filter(|f| !f.is_network());
-                let job = make_job(shard, fault);
-                let stdin = slots[wi].stdin.as_mut().expect("alive worker has stdin");
-                match write_message(stdin, &job) {
-                    Ok(_) => {
-                        slots[wi].inflight = Inflight::Shard(shard);
-                        wheel.arm(wi, now + self.job_timeout);
-                    }
-                    Err(_) => {
-                        reap_worker!(wi);
-                        shards_resharded += 1;
-                        queue.push_front(shard);
-                    }
-                }
-            }
-
-            // Wait phase: the next reply, deadline expiry, or backoff
-            // maturing — whichever comes first.
-            let now = Instant::now();
-            let mut wake = wheel.next_deadline();
-            if slots
-                .iter()
-                .any(|s| s.alive && s.inflight == Inflight::Idle)
-            {
-                if let Some(t) = queue.iter().map(|&s| ready_at[s]).min() {
-                    wake = Some(wake.map_or(t, |w| w.min(t)));
-                }
-            }
-            let Some(wake) = wake else {
-                // Nothing inflight and nothing queued for an idle worker
-                // while shards remain: every survivor is idle and the
-                // queue is empty, which cannot happen — but degrade to
-                // inline rather than loop.
-                break;
-            };
-
-            match rx.recv_timeout(wake.saturating_duration_since(now)) {
-                Ok((wi, event)) => {
-                    if !slots[wi].alive {
-                        // A stale event from a worker reaped earlier
-                        // (its shard was already requeued or resolved).
-                        continue;
-                    }
-                    let state = std::mem::replace(&mut slots[wi].inflight, Inflight::Idle);
-                    wheel.disarm(wi);
-                    match event {
-                        Ok((msg, bytes)) => match (state, msg) {
-                            (Inflight::Probe(expect), Message::Heartbeat { nonce })
-                                if nonce == expect =>
-                            {
-                                // Live and version-compatible; now
-                                // eligible for jobs. The echo closes the
-                                // probe's round-trip measurement.
-                                if let Some(at) = slots[wi].probe_sent.take() {
-                                    heartbeat.record(at.elapsed());
-                                }
-                            }
-                            (Inflight::Shard(shard), msg) => match extract(msg) {
-                                Some(snap) => {
-                                    snapshots[shard] = Some(snap);
-                                    resolved += 1;
-                                    wire_bytes += bytes;
-                                }
-                                None => {
-                                    // Decoded frame, wrong species of
-                                    // reply: a protocol violation.
-                                    proto_faults += 1;
-                                    reap_worker!(wi);
-                                    fail_shard!(shard);
-                                }
-                            },
-                            _ => {
-                                // Unsolicited or mismatched frame.
-                                proto_faults += 1;
-                                reap_worker!(wi);
-                            }
-                        },
-                        Err(e) => {
-                            if matches!(e, ProtoError::Wire(_)) {
-                                // Corrupt frame or version mismatch —
-                                // typed, counted, recovered.
-                                proto_faults += 1;
-                            }
-                            reap_worker!(wi);
-                            if let Inflight::Shard(shard) = state {
-                                fail_shard!(shard);
-                            }
-                        }
-                    }
-                }
-                Err(RecvTimeoutError::Timeout) => {
-                    let now = Instant::now();
-                    for wi in wheel.expired(now) {
-                        if !slots[wi].alive {
-                            continue;
-                        }
-                        // The deadline reaper: the only detector that
-                        // catches a hung (or over-deadline) worker.
-                        deadline_reaps += 1;
-                        let state = slots[wi].inflight;
-                        reap_worker!(wi);
-                        if let Inflight::Shard(shard) = state {
-                            fail_shard!(shard);
-                        }
-                    }
-                }
-                Err(RecvTimeoutError::Disconnected) => {
-                    // Every reader exited: no worker can ever reply.
-                    for wi in 0..slots.len() {
-                        if !slots[wi].alive {
-                            continue;
-                        }
-                        let state = slots[wi].inflight;
-                        reap_worker!(wi);
-                        if let Inflight::Shard(shard) = state {
-                            fail_shard!(shard);
-                        }
-                    }
-                }
-            }
-        }
-
-        // Unresolved shards — total worker loss or exhausted budgets —
-        // degrade to inline builds so the run still completes (the
-        // counters expose the degradation).
-        for (shard, snap) in snapshots.iter_mut().enumerate() {
-            if snap.is_none() {
-                *snap = Some(inline(shard));
-                shards_built_inline += 1;
-            }
-        }
-
-        // Wind down: polite shutdown for survivors, reap everything,
-        // then join the readers (killing the children EOFs their
-        // streams, so every reader exits promptly).
-        for slot in &mut slots {
-            if slot.alive {
-                if let Some(stdin) = slot.stdin.as_mut() {
-                    let _ = write_message(stdin, &Message::Shutdown);
-                }
-            }
-            slot.stdin = None;
-            let _ = slot.child.kill();
-            let _ = slot.child.wait();
-        }
-        drop(rx);
-        for slot in &mut slots {
-            if let Some(reader) = slot.reader.take() {
-                let _ = reader.join();
-            }
-        }
-
-        Ok(DispatchOutcome {
-            snapshots: snapshots
-                .into_iter()
-                .map(|s| s.expect("every shard resolved"))
-                .collect(),
-            workers_spawned,
-            workers_lost,
-            shards_resharded,
-            shards_built_inline,
-            deadline_reaps,
-            retries,
-            proto_faults,
-            wire_bytes,
-            heartbeat,
-        })
-    }
-
-    /// Run the insertion-only pipeline over real worker processes.
-    ///
-    /// Returns `Err` only when not a single worker could be spawned;
-    /// worker loss after that is recovered per the type-level docs.
-    pub fn run(&self, stream: &dyn EdgeStream) -> Result<ProcessResult, RunError> {
-        let cfg = &self.cfg;
-        let params = cfg.sketch_params(stream.num_sets());
-        let ship = self.pipe_format();
-
-        let t0 = Instant::now();
-        let shards = partition_edges(stream, cfg.machines, cfg.shard_seed(), self.batch);
-        let partition_ns = t0.elapsed().as_nanos() as u64;
-
-        let t1 = Instant::now();
-        let outcome = self.dispatch(
-            shards.len(),
-            |shard, fault| Message::JobSketch {
-                params,
-                seed: cfg.seed,
-                ship,
-                fault,
-                batch: self.batch,
-                edges: shards[shard].clone(),
-            },
-            |msg| match msg {
-                Message::ReplySketch { snapshot, .. } => Some(snapshot),
-                _ => None,
-            },
-            |shard| {
-                let mut s = ThresholdSketch::new(params, cfg.seed);
-                for chunk in shards[shard].chunks(self.batch) {
-                    s.update_batch(chunk);
-                }
-                SketchSnapshot::of(&s)
-            },
-        )?;
-        let map_ns = t1.elapsed().as_nanos() as u64;
-
-        let t2 = Instant::now();
-        let locals: Vec<ThresholdSketch> = outcome.snapshots.iter().map(|s| s.restore()).collect();
-        let (merged, rounds) = tree_reduce_with(locals, self.fan_in, self.ship);
-        let trace = bucket_greedy_k_cover(&merged.csr_view(), cfg.k);
-        let family = trace.family();
-        let reduce_solve_ns = t2.elapsed().as_nanos() as u64;
-
-        Ok(ProcessResult {
-            estimated_coverage: merged.estimate_coverage(&family),
-            merged_edges: merged.edges_stored(),
-            family,
-            rounds,
-            workers_spawned: outcome.workers_spawned,
-            workers_lost: outcome.workers_lost,
-            shards_resharded: outcome.shards_resharded,
-            shards_built_inline: outcome.shards_built_inline,
-            deadline_reaps: outcome.deadline_reaps,
-            retries: outcome.retries,
-            proto_faults: outcome.proto_faults,
-            wire_bytes: outcome.wire_bytes,
-            heartbeat: outcome.heartbeat,
-            partition_ns,
-            map_ns,
-            reduce_solve_ns,
-        })
-    }
-
-    /// Run the dynamic (insert/delete) pipeline over real worker
-    /// processes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no subsampling level of the merged sketch decodes (the
-    /// sketch was sized with too few levels for the surviving edges).
-    pub fn run_dynamic(
-        &self,
-        stream: &dyn DynamicEdgeStream,
-    ) -> Result<DynProcessResult, RunError> {
-        let cfg = &self.cfg;
-        let params = cfg.dynamic_sketch_params(stream.num_sets());
-        let ship = self.pipe_format();
-
-        let t0 = Instant::now();
-        let shards = partition_updates(stream, cfg.machines, cfg.shard_seed(), self.batch);
-        let partition_ns = t0.elapsed().as_nanos() as u64;
-
-        let t1 = Instant::now();
-        let outcome = self.dispatch(
-            shards.len(),
-            |shard, fault| Message::JobDynamic {
-                params,
-                seed: cfg.seed,
-                ship,
-                fault,
-                batch: self.batch,
-                updates: shards[shard].clone(),
-            },
-            |msg| match msg {
-                Message::ReplyDynamic { snapshot, .. } => Some(snapshot),
-                _ => None,
-            },
-            |shard| {
-                let mut s = DynamicSketch::new(params, cfg.seed);
-                for chunk in shards[shard].chunks(self.batch) {
-                    s.update_batch(chunk);
-                }
-                DynamicSnapshot::of(&s)
-            },
-        )?;
-        let map_ns = t1.elapsed().as_nanos() as u64;
-
-        let t2 = Instant::now();
-        let locals: Vec<DynamicSketch> = outcome.snapshots.iter().map(|s| s.restore()).collect();
-        let (merged, rounds) = tree_reduce_with(locals, self.fan_in, self.ship);
-        let (family, estimated_coverage, sample) = recover_and_solve(&merged, cfg.k);
-        let reduce_solve_ns = t2.elapsed().as_nanos() as u64;
-
-        Ok(DynProcessResult {
-            family,
-            estimated_coverage,
-            sample_level: sample.level,
-            sampling_p: sample.sampling_p,
-            recovered_edges: sample.edges.len(),
-            rounds,
-            workers_spawned: outcome.workers_spawned,
-            workers_lost: outcome.workers_lost,
-            shards_resharded: outcome.shards_resharded,
-            shards_built_inline: outcome.shards_built_inline,
-            deadline_reaps: outcome.deadline_reaps,
-            retries: outcome.retries,
-            proto_faults: outcome.proto_faults,
-            wire_bytes: outcome.wire_bytes,
-            heartbeat: outcome.heartbeat,
-            partition_ns,
-            map_ns,
-            reduce_solve_ns,
-        })
     }
 }
 

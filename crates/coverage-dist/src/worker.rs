@@ -1,25 +1,35 @@
-//! The worker half of the subprocess executor.
+//! The worker half of the distributed runtime.
 //!
-//! A worker is the CLI binary re-invoked in its hidden `worker` mode: it
-//! reads framed jobs from stdin ([`proto`](crate::proto)), builds the
-//! requested local sketch over its shard, and writes the snapshot back
-//! on stdout — one reply per job, strictly in order, so the parent can
-//! run a lock-step round without pipe-deadlock risk. The worker holds no
-//! cross-job state: determinism lives entirely in the job (params +
-//! seed + shard), exactly as for the in-process executors.
+//! A worker is the CLI binary re-invoked in its hidden `worker` mode. It
+//! serves framed messages ([`proto`](crate::proto)) on one link: its
+//! stdin/stdout when the coordinator spawned it as a pipe worker
+//! ([`run_stdio`]), or a TCP connection it dials itself
+//! ([`run_connect`]). The coordinator streams each shard as a
+//! `ChunkStart*` frame and bounded [`Message::JobChunk`] frames; the
+//! worker ingests the chunks strictly in order, acks each one once it is
+//! ingested, and writes the snapshot back when the stream completes. A
+//! [`Message::Heartbeat`] is echoed back verbatim between chunks — the
+//! coordinator's liveness/version probe. The one-frame
+//! [`Message::JobSketch`]/[`Message::JobDynamic`] jobs are still served,
+//! one in-order reply each, though no executor sends them any more. The
+//! worker holds no cross-job state: determinism lives entirely in the
+//! job (params + seed + shard), exactly as for the in-process executors.
 //!
 //! Fault injection: a job may carry a [`Fault`] the worker executes
 //! faithfully — [`Fault::Crash`] exits the loop without replying (the
-//! parent sees EOF, the same observable as a crashed or killed worker),
-//! [`Fault::Hang`] stalls forever (only the parent's deadline reaper
-//! can detect it), [`Fault::Delay`] sleeps before replying normally,
-//! and [`Fault::CorruptReply`] flips one bit of the reply frame (the
-//! parent's checksum catches it as a typed error). Each triggers the
-//! matching detection/recovery path in
-//! [`ProcessRunner`](crate::ProcessRunner). A [`Message::Heartbeat`] is
-//! echoed back verbatim — the parent's liveness/version probe.
+//! coordinator sees EOF, the same observable as a crashed or killed
+//! worker), [`Fault::Hang`] stalls forever (only the coordinator's
+//! deadline reaper can detect it), [`Fault::Delay`] sleeps before
+//! replying normally, and [`Fault::CorruptReply`] flips one bit of the
+//! reply frame (the coordinator's checksum catches it as a typed error).
+//! Each triggers the matching detection/recovery path in
+//! [`Coordinator`](crate::Coordinator).
+//!
+//! A worker whose link the coordinator severs exits quietly with status
+//! 0, as on a clean EOF: the cut is the coordinator's decision, not a
+//! worker failure.
 
-use std::io::{BufReader, BufWriter, Read, Write};
+use std::io::{BufReader, BufWriter, ErrorKind, Read, Write};
 
 use coverage_sketch::{DynamicSketch, DynamicSnapshot, SketchSnapshot, ThresholdSketch};
 
@@ -42,7 +52,7 @@ fn pre_reply_fault(fault: &Option<Fault>) -> bool {
             true
         }
         Some(Fault::CorruptReply) | None => true,
-        // Network faults are executed coordinator-side by the socket
+        // Network faults are executed coordinator-side by the link
         // writer and never ride in job frames; a worker that does see
         // one treats it as no fault (the codec is total either way).
         Some(Fault::DropConn) | Some(Fault::Stall(_)) | Some(Fault::DupChunk) => true,
@@ -63,11 +73,12 @@ fn write_reply(
 }
 
 /// Serve framed jobs from `input` until EOF, shutdown, or an injected
-/// failure. Every job produces exactly one in-order reply on `output`.
+/// failure. Every job produces exactly one in-order reply on `output`;
+/// a chunked job also acks each chunk as it is ingested.
 ///
 /// Returns `Ok(())` on a clean end (EOF between frames, an explicit
 /// [`Message::Shutdown`], or an injected failure) and the underlying
-/// [`ProtoError`] when the pipe breaks or a frame is corrupt.
+/// [`ProtoError`] when the link breaks or a frame is corrupt.
 pub fn worker_loop(input: &mut impl Read, output: &mut impl Write) -> Result<(), ProtoError> {
     // At most one chunked shard stream is open at a time (the
     // coordinator never pipelines a second job before the reply).
@@ -241,6 +252,26 @@ fn finish_chunked(output: &mut impl Write, build: ChunkedBuild) -> Result<bool, 
     Ok(true)
 }
 
+/// Whether a [`worker_loop`] error only says the coordinator severed
+/// the link — killed the pipe or shut the connection down while the
+/// worker was writing an ack or a reply.
+fn link_severed(e: &ProtoError) -> bool {
+    matches!(e, ProtoError::Io(io) if matches!(io.kind(), ErrorKind::BrokenPipe | ErrorKind::ConnectionReset))
+}
+
+/// The process exit code for a finished [`worker_loop`]: 0 for a clean
+/// end or a severed link; otherwise the error is printed and the code
+/// is 1.
+fn exit_code(result: Result<(), ProtoError>) -> i32 {
+    match result {
+        Err(e) if !link_severed(&e) => {
+            eprintln!("worker: {e}");
+            1
+        }
+        _ => 0,
+    }
+}
+
 /// Run [`worker_loop`] over this process's stdin/stdout — the body of
 /// the CLI's hidden `worker` subcommand. Returns the process exit code.
 pub fn run_stdio() -> i32 {
@@ -248,20 +279,13 @@ pub fn run_stdio() -> i32 {
     let stdout = std::io::stdout();
     let mut input = BufReader::new(stdin.lock());
     let mut output = BufWriter::new(stdout.lock());
-    match worker_loop(&mut input, &mut output) {
-        Ok(()) => 0,
-        Err(e) => {
-            eprintln!("worker: {e}");
-            1
-        }
-    }
+    exit_code(worker_loop(&mut input, &mut output))
 }
 
 /// Dial the coordinator at `addr` and run [`worker_loop`] over the TCP
 /// connection — the body of `coverage worker --connect HOST:PORT`.
 /// Returns the process exit code. The framed protocol is byte-identical
-/// to the pipe transport; only the liveness story changes (the
-/// coordinator probes with heartbeats instead of watching for EOF).
+/// to the pipe transport.
 pub fn run_connect(addr: &str) -> i32 {
     let stream = match std::net::TcpStream::connect(addr) {
         Ok(s) => s,
@@ -282,13 +306,7 @@ pub fn run_connect(addr: &str) -> i32 {
     };
     let mut input = BufReader::new(read_half);
     let mut output = BufWriter::new(stream);
-    match worker_loop(&mut input, &mut output) {
-        Ok(()) => 0,
-        Err(e) => {
-            eprintln!("worker: {e}");
-            1
-        }
-    }
+    exit_code(worker_loop(&mut input, &mut output))
 }
 
 #[cfg(test)]
@@ -649,6 +667,30 @@ mod tests {
             ));
         }
         assert!(cursor.is_empty(), "crashing stream must not reply");
+    }
+
+    #[test]
+    fn only_a_severed_link_counts_as_a_quiet_exit() {
+        use std::io::Error;
+        for kind in [ErrorKind::BrokenPipe, ErrorKind::ConnectionReset] {
+            assert!(link_severed(&ProtoError::Io(Error::from(kind))), "{kind:?}");
+        }
+        // A mid-frame cut, any other I/O error and a corrupt frame are
+        // worker failures that print and exit 1.
+        for kind in [ErrorKind::UnexpectedEof, ErrorKind::PermissionDenied] {
+            assert!(
+                !link_severed(&ProtoError::Io(Error::from(kind))),
+                "{kind:?}"
+            );
+        }
+        let corrupt = coverage_sketch::WireError::Malformed("corrupt");
+        assert!(!link_severed(&ProtoError::Wire(corrupt)));
+        assert!(!link_severed(&ProtoError::Eof));
+        assert_eq!(exit_code(Ok(())), 0);
+        assert_eq!(
+            exit_code(Err(ProtoError::Io(Error::from(ErrorKind::BrokenPipe)))),
+            0
+        );
     }
 
     #[test]

@@ -90,26 +90,26 @@ USAGE:
                      #   then build); the selected cover is identical
                      # --processes P: run the map phase on P real worker
                      #   subprocesses (this binary re-invoked in a hidden
-                     #   `worker` mode, framed binary pipes); same family again
+                     #   `worker` mode, framed binary pipes) with heartbeat
+                     #   liveness and chunked shard streaming; same family again
                      # --ship: snapshot wire format for the reduce (and the
                      #   worker pipes); binary is the compact framed codec
                      # --sockets P: like --processes, but the workers dial
-                     #   back over loopback TCP (`worker --connect`) with
-                     #   heartbeat liveness and chunked shard streaming
+                     #   back over loopback TCP (`worker --connect`)
                      # --listen ADDR: socket coordinator without self-spawn —
                      #   bind ADDR (e.g. 0.0.0.0:7700) and wait for workers
                      #   started by hand as `coverage worker --connect ADDR`
                      # --fault-plan: deterministic fault injection for the
-                     #   multiprocess/socket executors — SPEC is a comma list
-                     #   of crash@N, hang@N, delay<MS>@N, corrupt@N, rand<PCT>
-                     #   plus (sockets only) drop@N, stall<MS>@N, dup@N
+                     #   worker executors — SPEC is a comma list of crash@N,
+                     #   hang@N, delay<MS>@N, corrupt@N, rand<PCT> and the
+                     #   network kinds drop@N, stall<MS>@N, dup@N
                      #   (e.g. 7:crash@0,drop@2,rand10). The run must
                      #   still produce the fault-free family.
                      # --job-timeout-ms: per-shard deadline before a stalled
                      #   worker is reaped and its shard requeued
-                     # --chunk-items N: socket streaming chunk size (items
-                     #   per JobChunk frame); --late-worker-ms MS: self-spawn
-                     #   one extra loopback worker MS into the run
+                     # --chunk-items N: shard streaming chunk size (items
+                     #   per JobChunk frame); --late-worker-ms MS: spawn one
+                     #   extra worker MS into the run
   coverage serve     --n <sets> [--guesses G] [--dynamic [--k K]] [--eps E] [--budget B] [--seed S]
                      [--publish-every U] [--queue Q] [--journal] [--journal-recover]
                      # long-lived serving daemon speaking the framed CVSV
@@ -506,42 +506,23 @@ fn cmd_dist(flags: &HashMap<String, String>) {
         }
     });
     let job_timeout_ms: u64 = get(flags, "job-timeout-ms", 0);
-    let sockets: usize = get(flags, "sockets", 0);
-    let listen = flags.get("listen").cloned();
-    if sockets > 0 || listen.is_some() {
-        cmd_dist_sockets(
+    if processes > 0 || get(flags, "sockets", 0usize) > 0 || flags.contains_key("listen") {
+        cmd_dist_workers(
             cfg,
-            sockets,
-            listen,
-            ship,
-            fault_plan,
-            job_timeout_ms,
             flags,
-            &stream,
-            &inst,
-            opt,
-            machines,
-        );
-        return;
-    }
-    if processes > 0 {
-        cmd_dist_processes(
-            cfg,
-            processes,
             ship,
             fault_plan,
             job_timeout_ms,
             &stream,
             &inst,
             opt,
-            machines,
         );
         return;
     }
     if fault_plan.is_some() || job_timeout_ms > 0 {
         eprintln!(
-            "--fault-plan/--job-timeout-ms require the multiprocess executor \
-             (--processes P) or the socket executor (--sockets P / --listen ADDR)"
+            "--fault-plan/--job-timeout-ms require worker processes \
+             (--processes P, --sockets P or --listen ADDR)"
         );
         exit(2);
     }
@@ -601,134 +582,50 @@ fn cmd_dist(flags: &HashMap<String, String>) {
     println!("{}", t.render());
 }
 
-/// `dist --processes P`: the multiprocess executor. Spawns `P` copies
-/// of this binary in the hidden `worker` mode and runs the identical
-/// partition → map → tree-reduce → solve pipeline over real pipes.
+/// `dist --processes P` / `--sockets P` / `--listen ADDR`: the worker
+/// coordinator. Pipe mode spawns `P` copies of this binary in the
+/// hidden `worker` mode; loopback mode spawns them as
+/// `worker --connect`; listen mode binds `ADDR` and waits for workers
+/// started by hand. Every mode runs heartbeat-graded liveness, chunked
+/// shard streaming, and the identical partition → map → tree-reduce →
+/// solve pipeline.
 #[allow(clippy::too_many_arguments)]
-fn cmd_dist_processes(
+fn cmd_dist_workers(
     cfg: DistConfig,
-    processes: usize,
+    flags: &HashMap<String, String>,
     ship: ShipFormat,
     fault_plan: Option<FaultPlan>,
     job_timeout_ms: u64,
     stream: &VecStream,
     inst: &coverage_suite::core::CoverageInstance,
     opt: Option<usize>,
-    machines: usize,
 ) {
-    let command = match WorkerCommand::current_exe(vec!["worker".to_string()]) {
+    let processes: usize = get(flags, "processes", 0);
+    let sockets: usize = get(flags, "sockets", 0);
+    let command = || match WorkerCommand::current_exe(vec!["worker".to_string()]) {
         Ok(c) => c,
         Err(e) => {
             eprintln!("cannot locate own executable for worker spawn: {e}");
             exit(1);
         }
     };
-    let mut runner = ProcessRunner::new(cfg, command, processes).with_ship_format(ship);
-    if let Some(plan) = fault_plan {
-        runner = runner.with_fault_plan(plan);
-    }
-    if job_timeout_ms > 0 {
-        runner = runner.with_job_timeout(std::time::Duration::from_millis(job_timeout_ms));
-    }
-    let res = match runner.run(stream) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("multiprocess run failed: {e}");
-            exit(1);
+    let (mut runner, workers): (Coordinator<SocketResult>, String) = match flags.get("listen") {
+        Some(_) if sockets > 0 => {
+            eprintln!("--listen and --sockets are mutually exclusive");
+            exit(2);
         }
-    };
-    let covered = inst.coverage(&res.family);
-    let mut t = Table::new(
-        format!("distributed k-cover ({machines} machines, {processes} worker processes)"),
-        &["metric", "value"],
-    );
-    t.row(vec!["family".into(), format!("{:?}", res.family)]);
-    t.row(vec!["covered".into(), fmt_count(covered as u64)]);
-    if let Some(opt) = opt {
-        t.row(vec![
-            "coverage/OPT".into(),
-            fmt_f(covered as f64 / opt as f64, 4),
-        ]);
-    }
-    t.row(vec![
-        "merged edges".into(),
-        fmt_count(res.merged_edges as u64),
-    ]);
-    t.row(vec![
-        "workers spawned".into(),
-        res.workers_spawned.to_string(),
-    ]);
-    t.row(vec!["workers lost".into(), res.workers_lost.to_string()]);
-    t.row(vec![
-        "shards resharded".into(),
-        res.shards_resharded.to_string(),
-    ]);
-    t.row(vec![
-        "deadline reaps".into(),
-        res.deadline_reaps.to_string(),
-    ]);
-    t.row(vec!["retries".into(), res.retries.to_string()]);
-    t.row(vec!["proto faults".into(), res.proto_faults.to_string()]);
-    t.row(vec!["ship format".into(), format!("{ship:?}")]);
-    t.row(vec!["pipe bytes".into(), fmt_count(res.wire_bytes)]);
-    t.row(vec![
-        "reduce bytes".into(),
-        fmt_count(res.rounds.total_bytes()),
-    ]);
-    t.row(vec![
-        "reduce rounds".into(),
-        res.rounds.num_rounds().to_string(),
-    ]);
-    t.row(vec![
-        "partition ms".into(),
-        fmt_f(res.partition_ns as f64 / 1e6, 2),
-    ]);
-    t.row(vec!["map ms".into(), fmt_f(res.map_ns as f64 / 1e6, 2)]);
-    t.row(vec![
-        "reduce+solve ms".into(),
-        fmt_f(res.reduce_solve_ns as f64 / 1e6, 2),
-    ]);
-    println!("{}", t.render());
-}
-
-/// `dist --sockets P` / `dist --listen ADDR`: the TCP socket executor.
-/// Loopback mode self-spawns `P` copies of this binary as
-/// `worker --connect`; listen mode binds `ADDR` and waits for workers
-/// started by hand. Either way the coordinator runs heartbeat-graded
-/// liveness, chunked shard streaming, and the identical partition →
-/// map → tree-reduce → solve pipeline.
-#[allow(clippy::too_many_arguments)]
-fn cmd_dist_sockets(
-    cfg: DistConfig,
-    sockets: usize,
-    listen: Option<String>,
-    ship: ShipFormat,
-    fault_plan: Option<FaultPlan>,
-    job_timeout_ms: u64,
-    flags: &HashMap<String, String>,
-    stream: &VecStream,
-    inst: &coverage_suite::core::CoverageInstance,
-    opt: Option<usize>,
-    machines: usize,
-) {
-    let mut runner = match listen {
         Some(addr) => {
-            if sockets > 0 {
-                eprintln!("--listen and --sockets are mutually exclusive");
-                exit(2);
-            }
             eprintln!("listening on {addr}; start workers with `coverage worker --connect {addr}`");
-            SocketRunner::listen(cfg, addr)
+            let runner = Coordinator::listen(cfg, addr.clone());
+            (runner, "TCP socket workers".to_string())
+        }
+        None if sockets > 0 => {
+            let runner = Coordinator::loopback(cfg, command(), sockets);
+            (runner, format!("{sockets} loopback socket workers"))
         }
         None => {
-            let command = match WorkerCommand::current_exe(vec!["worker".to_string()]) {
-                Ok(c) => c,
-                Err(e) => {
-                    eprintln!("cannot locate own executable for worker spawn: {e}");
-                    exit(1);
-                }
-            };
-            SocketRunner::new(cfg, command, sockets)
+            let runner = Coordinator::pipes(cfg, command(), processes);
+            (runner, format!("{processes} worker processes"))
         }
     };
     runner = runner.with_ship_format(ship);
@@ -749,17 +646,13 @@ fn cmd_dist_sockets(
     let res = match runner.run(stream) {
         Ok(r) => r,
         Err(e) => {
-            eprintln!("socket run failed: {e}");
+            eprintln!("distributed run failed: {e}");
             exit(1);
         }
     };
     let covered = inst.coverage(&res.family);
     let s = &res.stats;
-    let title = if sockets > 0 {
-        format!("distributed k-cover ({machines} machines, {sockets} loopback socket workers)")
-    } else {
-        format!("distributed k-cover ({machines} machines, TCP socket workers)")
-    };
+    let title = format!("distributed k-cover ({} machines, {workers})", cfg.machines);
     let mut t = Table::new(title, &["metric", "value"]);
     t.row(vec!["family".into(), format!("{:?}", res.family)]);
     t.row(vec!["covered".into(), fmt_count(covered as u64)]);

@@ -87,8 +87,8 @@ pub mod prelude {
     };
     pub use coverage_dist::{
         distributed_k_cover, distributed_k_cover_serial, dynamic_distributed_k_cover,
-        partition_edges, partition_updates, tree_reduce, tree_reduce_via, DistConfig, DistResult,
-        DynDistResult, DynProcessResult, DynSocketResult, DynamicParallelResult, Fault, FaultPlan,
+        partition_edges, partition_updates, tree_reduce, tree_reduce_via, Coordinator, DistConfig,
+        DistResult, DynDistResult, DynSocketResult, DynamicParallelResult, Fault, FaultPlan,
         FaultyTransport, HeartbeatStats, IngestMode, ParallelResult, ParallelRunner, ProcessResult,
         ProcessRunner, RetryPolicy, RunError, ShipFormat, SocketResult, SocketRunStats,
         SocketRunner, SplitMix64, WorkerCommand, WorkerState, WorkerSummary,

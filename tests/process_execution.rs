@@ -99,7 +99,11 @@ fn killed_workers_reshard_and_the_family_survives() {
     let serial = distributed_k_cover(&stream, &cfg);
     // Kill two of three workers on their first shard dispatch.
     let process = ProcessRunner::new(cfg, worker_command(), 3)
-        .with_injected_failures([0, 1])
+        .with_fault_plan(
+            FaultPlan::new(23)
+                .with_fault(0, Fault::Crash)
+                .with_fault(1, Fault::Crash),
+        )
         .run(&stream)
         .expect("run with injected kills");
     assert_eq!(
@@ -119,7 +123,7 @@ fn total_worker_loss_degrades_to_inline_and_still_matches() {
     // A single worker that dies on its first job: no survivors, so the
     // parent must build every remaining shard inline.
     let process = ProcessRunner::new(cfg, worker_command(), 1)
-        .with_injected_failures([0])
+        .with_fault_plan(FaultPlan::new(31).with_fault(0, Fault::Crash))
         .run(&stream)
         .expect("run past total worker loss");
     assert_eq!(process.family, serial.family);
@@ -175,6 +179,36 @@ fn corrupt_reply_is_detected_and_the_shard_requeued() {
 }
 
 #[test]
+fn network_faults_fire_on_pipe_links_and_the_family_survives() {
+    let stream = generated_stream(2, 24, 2_000, 3, 59);
+    let cfg = DistConfig::new(6, 3, 0.3, 59).with_sizing(SketchSizing::Budget(1_200));
+    let serial = distributed_k_cover(&stream, &cfg);
+    // The socket chaos schedule on pipes: shard 0's worker is killed
+    // after its first chunk, shard 1's stream stalls for 300ms, and
+    // shard 2's first chunk is written twice.
+    let process = ProcessRunner::new(cfg, worker_command(), 3)
+        .with_fault_plan(
+            FaultPlan::new(59)
+                .with_fault(0, Fault::DropConn)
+                .with_fault(1, Fault::Stall(300))
+                .with_fault(2, Fault::DupChunk),
+        )
+        .with_chunk_items(128)
+        .run(&stream)
+        .expect("run past network faults on pipes");
+    assert_eq!(
+        process.family, serial.family,
+        "network faults on pipe links must not change the selected cover"
+    );
+    assert_eq!(process.merged_edges, serial.merged_edges);
+    assert!(process.workers_lost >= 1, "drop@0 must sever a pipe worker");
+    assert!(
+        process.shards_resharded >= 1,
+        "the severed shard must be re-dispatched to a survivor"
+    );
+}
+
+#[test]
 fn dynamic_multiprocess_matches_the_serial_dynamic_reference() {
     let stream = generated_stream(2, 24, 2_000, 3, 41);
     let dyn_stream = VecDynamicStream::new(24, signed_updates(&stream, 41));
@@ -188,11 +222,11 @@ fn dynamic_multiprocess_matches_the_serial_dynamic_reference() {
     assert_eq!(process.recovered_edges, serial.recovered_edges);
     // And the recovery path holds for the linear sketch too.
     let killed = ProcessRunner::new(cfg, worker_command(), 2)
-        .with_injected_failures([1])
+        .with_fault_plan(FaultPlan::new(41).with_fault(1, Fault::Crash))
         .run_dynamic(&dyn_stream)
         .expect("dynamic run with a kill");
     assert_eq!(killed.family, serial.family);
-    assert_eq!(killed.workers_lost, 1);
+    assert_eq!(killed.stats.workers_lost, 1);
 }
 
 proptest! {
@@ -218,7 +252,7 @@ proptest! {
         let mut runner = ProcessRunner::new(cfg, worker_command(), processes)
             .with_ship_format(if ship_json { ShipFormat::Json } else { ShipFormat::Binary });
         if kill_first {
-            runner = runner.with_injected_failures([0]);
+            runner = runner.with_fault_plan(FaultPlan::new(seed).with_fault(0, Fault::Crash));
         }
         let process = runner.run(&stream).expect("multiprocess run");
         prop_assert_eq!(
