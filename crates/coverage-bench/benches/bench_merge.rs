@@ -7,7 +7,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
 use coverage_core::Edge;
-use coverage_dist::tree_reduce;
+use coverage_dist::{tree_reduce_with, ShipFormat};
 use coverage_sketch::{SketchParams, SketchSnapshot, ThresholdSketch};
 
 fn build_shards(w: usize, n_sets: u32, per_set: u64, budget: usize) -> Vec<ThresholdSketch> {
@@ -54,14 +54,14 @@ fn bench_snapshot_roundtrip(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_tree_reduce(c: &mut Criterion) {
+fn bench_tree_reduction(c: &mut Criterion) {
     let mut group = c.benchmark_group("tree_reduce_16_shards");
     group.sample_size(10);
     for fan_in in [2usize, 4, 16] {
         let shards = build_shards(16, 400, 300, 4_000);
         group.bench_with_input(BenchmarkId::new("fan_in", fan_in), &fan_in, |b, &f| {
             b.iter(|| {
-                let (merged, report) = tree_reduce(shards.clone(), f);
+                let (merged, report) = tree_reduce_with(shards.clone(), f, ShipFormat::Binary);
                 black_box((merged.edges_stored(), report.total_words()))
             })
         });
@@ -73,6 +73,6 @@ criterion_group!(
     benches,
     bench_pairwise_merge,
     bench_snapshot_roundtrip,
-    bench_tree_reduce
+    bench_tree_reduction
 );
 criterion_main!(benches);

@@ -2,10 +2,9 @@
 //! fixed workload.
 //!
 //! Runs the same distributed k-cover configuration through
-//! `distributed_k_cover_serial` (the strictly single-threaded
-//! O(machines·|E|) reference simulation — pinned to one thread so the
-//! gate does not depend on the CI machine's core count) and
-//! `ParallelRunner` (one partition pass + concurrent map), then:
+//! `distributed_k_cover` (the strictly single-threaded serial
+//! simulation: one partition pass, then one shard after another) and
+//! `ParallelRunner` (the same pipeline with a concurrent map), then:
 //!
 //! * **fails (exit 1)** if the parallel family diverges from the
 //!   sequential one — the determinism contract, enforced on every CI run;
@@ -94,8 +93,8 @@
 //!   not just the final state.
 //!
 //! A seventh case exercises the **batch-vectorized hot paths and the
-//! pipelined/parallel executors** added on top of the flat engine and
-//! writes `BENCH_8.json`:
+//! parallel executors** added on top of the flat engine and writes
+//! `BENCH_8.json`:
 //!
 //! * **fails (exit 1)** if the batched-vectorized bank ingest (chunked
 //!   shared hashing, bank-wide bound pre-filter, 8-wide unrolled mixer,
@@ -109,10 +108,10 @@
 //!   the vectorization perf gate (the batched-scalar hybrid is timed
 //!   alongside, informationally, to split the batching effect from the
 //!   unroll/prefetch effect);
-//! * **fails (exit 1)** if the pipelined runner's family diverges from
-//!   the two-barrier runner's or the serial simulation's — the
-//!   pipeline determinism contract (wall clocks recorded; the speedup
-//!   itself is hardware-dependent, so only equivalence is gated);
+//! * **fails (exit 1)** if the parallel runner's family diverges from
+//!   the serial simulation's — the pipeline determinism contract (the
+//!   wall clock is recorded; the speedup itself is hardware-dependent,
+//!   so only equivalence is gated);
 //! * **fails (exit 1)** if the parallel multi-guess solve's full traces
 //!   diverge from the per-guess sequential loop — the parallel-solve
 //!   determinism contract;
@@ -151,8 +150,8 @@ use coverage_core::offline::{bucket_greedy_k_cover, lazy_greedy_k_cover};
 use coverage_core::{CoverageView, SetId};
 use coverage_data::{churn_workload, planted_k_cover};
 use coverage_dist::{
-    distributed_k_cover_serial, dynamic_distributed_k_cover, partition_updates, DistConfig, Fault,
-    FaultPlan, IngestMode, ParallelRunner, ProcessRunner, SocketRunner, WorkerCommand,
+    distributed_k_cover, dynamic_distributed_k_cover, partition_updates, DistConfig, Fault,
+    FaultPlan, ParallelRunner, ProcessRunner, RunReport, SocketRunner, WorkerCommand,
 };
 use coverage_serve::{answer_query, LiveStore, QueryAnswer, ServeConfig, ServeEngine, ServeFinish};
 use coverage_sketch::{
@@ -280,8 +279,8 @@ fn dynamic_smoke(planted: &coverage_core::CoverageInstance) -> (DynamicSmokeReco
         insertion_only_covered,
         accuracy_ratio,
         accuracy_bound,
-        sample_level: par.sample_level,
-        recovered_edges: par.recovered_edges,
+        sample_level: par.sample.map_or(0, |s| s.level),
+        recovered_edges: par.merged_edges,
         dynamic_space_words: par
             .per_machine
             .iter()
@@ -514,8 +513,8 @@ struct WireCodecRecord {
 
 /// Encode + decode every snapshot through both codecs and time the
 /// round trips. `S` is either snapshot type; the JSON side is the serde
-/// path the `ShipFormat::Json` transport uses, the binary side the
-/// framed wire codec under test.
+/// path of the snapshots' `to_json`, the binary side the framed wire
+/// codec under test.
 fn wire_codec_case<S>(
     snaps: &[S],
     encode: impl Fn(&S) -> Vec<u8>,
@@ -915,12 +914,10 @@ struct PipelineSmokeRecord {
     /// Retained content, counters, and acceptance bound identical
     /// between the vectorized and scalar ingest paths, every guess.
     ingest_contents_match: bool,
-    /// Pipelined runner (bounded channels, partition overlaps build).
-    pipelined_wall_ms: f64,
-    /// Retained two-barrier runner (partition fully, then build).
-    two_barrier_wall_ms: f64,
-    /// Pipelined == two-barrier == serial simulation families.
-    pipelined_families_match: bool,
+    /// Parallel runner (one partition pass, then the threaded map).
+    parallel_wall_ms: f64,
+    /// Parallel runner == serial simulation families.
+    parallel_families_match: bool,
     /// Sequential per-guess `instance()` + lazy-greedy loop (the
     /// pre-zero-rebuild solve baseline, one guess after another).
     sequential_solve_wall_ms: f64,
@@ -934,10 +931,10 @@ struct PipelineSmokeRecord {
     solve_traces_match: bool,
 }
 
-/// The pipelined/vectorized smoke case (→ `BENCH_8.json`): the same
+/// The vectorized/parallel smoke case (→ `BENCH_8.json`): the same
 /// planted stream and [`guess_ladder`] bank, pushed through (a) the
-/// vectorized vs scalar flat ingest paths, (b) the pipelined vs
-/// two-barrier parallel runners, and (c) the parallel vs sequential
+/// vectorized vs scalar flat ingest paths, (b) the parallel runner
+/// against the serial family, and (c) the parallel vs sequential
 /// multi-guess solve. Returns the record and whether every gate holds.
 fn pipeline_smoke(
     stream: &VecStream,
@@ -984,14 +981,11 @@ fn pipeline_smoke(
         });
     let ingest_speedup = scal_ms / vec_ms.max(1e-9);
 
-    // (b) Pipelined vs two-barrier runner on the distributed config.
+    // (b) The parallel runner on the distributed config.
     let cfg = DistConfig::new(MACHINES, 6, 0.3, 21).with_sizing(SketchSizing::Budget(6_000));
-    let pipe_runner = ParallelRunner::new(cfg, THREADS).with_ingest_mode(IngestMode::Pipelined);
-    let barrier_runner = ParallelRunner::new(cfg, THREADS).with_ingest_mode(IngestMode::TwoBarrier);
-    let (pipe, pipe_ms) = best_of(REPS, || pipe_runner.run(stream));
-    let (barrier, barrier_ms) = best_of(REPS, || barrier_runner.run(stream));
-    let pipelined_families_match =
-        pipe.family == barrier.family && pipe.family.as_slice() == serial_family;
+    let runner = ParallelRunner::new(cfg, THREADS);
+    let (par, par_ms) = best_of(REPS, || runner.run(stream));
+    let parallel_families_match = par.family.as_slice() == serial_family;
 
     // (c) Parallel multi-guess solve vs the sequential per-guess loop.
     // Both sides finish in ~1 ms, so timer jitter dominates at the
@@ -1021,7 +1015,7 @@ fn pipeline_smoke(
     let eps = |ms: f64| edges as f64 / (ms / 1e3).max(1e-9);
     let ok = ingest_contents_match
         && ingest_speedup >= 1.3
-        && pipelined_families_match
+        && parallel_families_match
         && solve_traces_match
         && solve_speedup >= 1.5;
     let record = PipelineSmokeRecord {
@@ -1044,9 +1038,8 @@ fn pipeline_smoke(
         },
         ingest_speedup,
         ingest_contents_match,
-        pipelined_wall_ms: pipe_ms,
-        two_barrier_wall_ms: barrier_ms,
-        pipelined_families_match,
+        parallel_wall_ms: par_ms,
+        parallel_families_match,
         sequential_solve_wall_ms: seq_ms,
         parallel_solve_wall_ms: par_solve_ms,
         solve_speedup,
@@ -1233,7 +1226,7 @@ fn socket_smoke(
             .expect("faulted socket run")
     });
 
-    let case = |res: &coverage_dist::SocketResult, wall_ms: f64| SocketCaseRecord {
+    let case = |res: &RunReport, wall_ms: f64| SocketCaseRecord {
         wall_ms,
         workers_joined: res.stats.workers_joined,
         late_joiners: res.stats.late_joiners,
@@ -1315,16 +1308,15 @@ fn main() {
         .unwrap_or_else(|| "BENCH_10.json".to_string());
 
     // Fixed smoke workload: planted 6-cover, n=200 sets, 100k elements,
-    // ~860k edges against a 6k-edge sketch budget. Deliberately
-    // stream-heavy: the cost under test is the per-machine re-filtering
-    // the sequential simulation pays (O(machines·|E|)) and the parallel
-    // runner's single partition pass removes.
+    // ~860k edges against a 6k-edge sketch budget. Both executors
+    // partition once; the cost under test is the map phase, serial
+    // against threaded.
     let planted = planted_k_cover(200, 100_000, 6, 4_000, 6);
     let mut stream = VecStream::from_instance(&planted.instance);
     ArrivalOrder::Random(8).apply(stream.edges_mut());
     let cfg = DistConfig::new(MACHINES, 6, 0.3, 21).with_sizing(SketchSizing::Budget(6_000));
 
-    let (seq, seq_ms) = best_of(REPS, || distributed_k_cover_serial(&stream, &cfg));
+    let (seq, seq_ms) = best_of(REPS, || distributed_k_cover(&stream, &cfg));
     let runner = ParallelRunner::new(cfg, THREADS);
     let (par, par_ms) = best_of(REPS, || runner.run(&stream));
 
@@ -1495,15 +1487,14 @@ fn main() {
     println!(
         "\nbench_smoke: batched-vectorized bank ingest {:.1} ms vs per-edge scalar \
          {:.1} ms → {:.2}x (batched-scalar hybrid {:.1} ms; {:.1}M edges/s); \
-         pipelined run {:.1} ms vs two-barrier {:.1} ms; \
+         parallel run {:.1} ms; \
          parallel multi-guess solve {:.1} ms vs sequential rebuild+lazy {:.1} ms → {:.2}x",
         pipeline_record.vectorized_bank.wall_ms,
         pipeline_record.scalar_bank.wall_ms,
         pipeline_record.ingest_speedup,
         pipeline_record.batched_scalar_bank.wall_ms,
         pipeline_record.vectorized_bank.edges_per_sec / 1e6,
-        pipeline_record.pipelined_wall_ms,
-        pipeline_record.two_barrier_wall_ms,
+        pipeline_record.parallel_wall_ms,
         pipeline_record.parallel_solve_wall_ms,
         pipeline_record.sequential_solve_wall_ms,
         pipeline_record.solve_speedup,
@@ -1663,15 +1654,15 @@ fn main() {
         exit(1);
     }
     if !pipeline_record.ingest_contents_match
-        || !pipeline_record.pipelined_families_match
+        || !pipeline_record.parallel_families_match
         || !pipeline_record.solve_traces_match
     {
         eprintln!(
             "bench_smoke: FAIL — BENCH_8 equivalence: vectorized==scalar content {}, \
-             pipelined==two-barrier==serial family {}, parallel-solve traces {} \
+             parallel==serial family {}, parallel-solve traces {} \
              (a determinism contract broke)",
             pipeline_record.ingest_contents_match,
-            pipeline_record.pipelined_families_match,
+            pipeline_record.parallel_families_match,
             pipeline_record.solve_traces_match,
         );
         exit(1);

@@ -21,13 +21,16 @@
 //! The output is *identical* (same retained elements; same family up to
 //! degree-cap tie-breaking) to the single-machine Algorithm 3, which is
 //! the property the companion paper's round-efficient algorithms build
-//! on. This crate simulates the machines with scoped threads.
+//! on.
 //!
-//! Two executors are provided: [`distributed_k_cover`] simulates every
-//! machine by re-filtering the full stream (the reference
-//! implementation), while [`ParallelRunner`] partitions the stream in a
-//! single pass and builds the per-machine sketches concurrently — same
-//! output (a property-tested determinism contract), real speedup.
+//! Every executor runs that schema as one pipeline ([`pipeline`]):
+//! partition the stream in one pass, build one sketch per shard, reduce
+//! them in memory with [`tree_reduce_with`], solve — and returns one
+//! [`RunReport`]. Only the build step differs:
+//! [`distributed_k_cover`] builds the shards one after another on the
+//! calling thread (the reference), [`ParallelRunner`] on scoped
+//! threads, and the [`Coordinator`] on worker processes. Same output (a
+//! property-tested determinism contract), real speedup.
 //!
 //! ## Dynamic (insert/delete) workloads
 //!
@@ -41,7 +44,8 @@
 //! insertion-only one: the merged sketch is bit-identical to a
 //! single-machine build for any partition, thread count, batch size, or
 //! reduce shape. [`dynamic_distributed_k_cover`] is the serial
-//! reference; [`ParallelRunner::run_dynamic`] is the parallel executor.
+//! reference; [`ParallelRunner::run_dynamic`] and
+//! [`Coordinator::run_dynamic`] are the parallel executors.
 //!
 //! ## Real processes and networks
 //!
@@ -53,8 +57,8 @@
 //! One dispatch loop serves both: shards travel as chunked streams so
 //! ingest overlaps transfer, liveness is heartbeat-graded (live →
 //! suspect → dead, with late joiners admitted mid-run), and workers
-//! ship snapshots back (binary wire frames by default). The parent runs
-//! the identical [`tree_reduce_with`] reduction, so the family is
+//! ship snapshots back as binary wire frames. The parent restores them
+//! and runs the identical in-memory reduction, so the family is
 //! bit-identical to the serial and in-process parallel executors — a
 //! contract that survives worker loss, because a dead worker's shards
 //! are re-dispatched to survivors and `merge_from` is associative and
@@ -67,6 +71,7 @@ pub mod fault;
 pub mod net;
 pub mod parallel;
 pub mod partition;
+pub mod pipeline;
 pub mod proto;
 pub mod rounds;
 pub mod runner;
@@ -74,20 +79,15 @@ pub mod worker;
 
 pub use fault::{Fault, FaultParseError, FaultPlan, SplitMix64};
 pub use net::{
-    Coordinator, DynSocketResult, HeartbeatStats, ProcessResult, ProcessRunner, SocketResult,
-    SocketRunStats, SocketRunner, WorkerState, WorkerSummary,
+    Coordinator, HeartbeatStats, ProcessResult, ProcessRunner, SocketRunStats, SocketRunner,
+    WorkerState, WorkerSummary,
 };
-pub use parallel::{
-    partition_edges, partition_updates, DynamicParallelResult, IngestMode, ParallelResult,
-    ParallelRunner,
-};
+pub use parallel::{partition_edges, partition_updates, ParallelRunner};
 pub use partition::{shard_of_edge, DynamicShardedStream, ShardedStream};
+pub use pipeline::{distributed_k_cover, dynamic_distributed_k_cover, RunReport, SampleLevel};
 pub use proto::{ChunkPayload, Message, ProtoError};
 pub use rounds::{
-    tree_reduce, tree_reduce_via, tree_reduce_with, BinaryTransport, Composable, FaultyTransport,
-    JsonTransport, Loopback, RoundCost, RoundsReport, ShipFormat, Shipment, Transport,
+    tree_reduce_via, tree_reduce_with, BinaryTransport, Composable, FaultyTransport, Loopback,
+    RoundCost, RoundsReport, ShipFormat, Shipment, Transport,
 };
-pub use runner::{
-    distributed_k_cover, distributed_k_cover_serial, dynamic_distributed_k_cover, merge_all,
-    DistConfig, DistResult, DynDistResult, RetryPolicy, RunError, WorkerCommand,
-};
+pub use runner::{DistConfig, RetryPolicy, RunError, WorkerCommand};

@@ -25,7 +25,6 @@ use coverage_stream::SignedEdge;
 
 use crate::fault::Fault;
 use crate::proto::{ChunkPayload, Message, ProtoError};
-use crate::rounds::ShipFormat;
 
 /// A shard's job rendered as a chunked stream: the opening
 /// `ChunkStart*` frame and the [`Message::JobChunk`] frames that follow
@@ -51,7 +50,6 @@ pub fn plan_sketch(
     per_chunk: usize,
     params: SketchParams,
     seed: u64,
-    ship: ShipFormat,
     fault: Option<Fault>,
     batch: usize,
 ) -> ChunkPlan {
@@ -73,7 +71,6 @@ pub fn plan_sketch(
             chunks: count,
             params,
             seed,
-            ship,
             fault,
             batch,
         },
@@ -90,7 +87,6 @@ pub fn plan_dynamic(
     per_chunk: usize,
     params: DynamicSketchParams,
     seed: u64,
-    ship: ShipFormat,
     fault: Option<Fault>,
     batch: usize,
 ) -> ChunkPlan {
@@ -112,7 +108,6 @@ pub fn plan_dynamic(
             chunks: count,
             params,
             seed,
-            ship,
             fault,
             batch,
         },
@@ -145,7 +140,6 @@ pub struct ChunkedBuild {
     count: u32,
     next: u32,
     seed: u64,
-    ship: ShipFormat,
     fault: Option<Fault>,
     batch: usize,
     kind: BuildKind,
@@ -164,7 +158,6 @@ impl ChunkedBuild {
         count: u32,
         params: SketchParams,
         seed: u64,
-        ship: ShipFormat,
         fault: Option<Fault>,
         batch: usize,
     ) -> Self {
@@ -173,7 +166,6 @@ impl ChunkedBuild {
             count,
             next: 0,
             seed,
-            ship,
             fault,
             batch,
             kind: BuildKind::Sketch(ThresholdSketch::new(params, seed)),
@@ -188,7 +180,6 @@ impl ChunkedBuild {
         count: u32,
         params: DynamicSketchParams,
         seed: u64,
-        ship: ShipFormat,
         fault: Option<Fault>,
         batch: usize,
     ) -> Self {
@@ -197,7 +188,6 @@ impl ChunkedBuild {
             count,
             next: 0,
             seed,
-            ship,
             fault,
             batch,
             kind: BuildKind::Dynamic(DynamicSketch::new(params, seed)),
@@ -278,11 +268,9 @@ impl ChunkedBuild {
         let reply = match self.kind {
             BuildKind::Sketch(sketch) => Message::ReplySketch {
                 snapshot: SketchSnapshot::of(&sketch),
-                ship: self.ship,
             },
             BuildKind::Dynamic(sketch) => Message::ReplyDynamic {
                 snapshot: DynamicSnapshot::of(&sketch),
-                ship: self.ship,
             },
         };
         Ok((reply, self.fault, self.seed))
@@ -319,19 +307,17 @@ mod tests {
                 chunks,
                 params,
                 seed,
-                ship,
                 fault,
                 batch,
-            } => ChunkedBuild::sketch(shard, chunks, params, seed, ship, fault, batch),
+            } => ChunkedBuild::sketch(shard, chunks, params, seed, fault, batch),
             Message::ChunkStartDynamic {
                 shard,
                 chunks,
                 params,
                 seed,
-                ship,
                 fault,
                 batch,
-            } => ChunkedBuild::dynamic(shard, chunks, params, seed, ship, fault, batch),
+            } => ChunkedBuild::dynamic(shard, chunks, params, seed, fault, batch),
             other => panic!("not a chunk start: {other:?}"),
         };
         for msg in plan.chunks {
@@ -359,16 +345,7 @@ mod tests {
         let shard = edges(1000);
         // Uneven chunk sizes, including one that doesn't divide the batch.
         for per_chunk in [1usize, 7, 64, 999, 1000, 5000] {
-            let plan = plan_sketch(
-                3,
-                &shard,
-                per_chunk,
-                params,
-                42,
-                ShipFormat::Binary,
-                None,
-                33,
-            );
+            let plan = plan_sketch(3, &shard, per_chunk, params, 42, None, 33);
             let build = drive(plan);
             assert!(build.complete());
             let (reply, fault, seed) = build.finish().unwrap();
@@ -391,7 +368,7 @@ mod tests {
     fn chunked_dynamic_build_matches_the_unchunked_sketch() {
         let params = DynamicSketchParams::new(SketchParams::with_budget(4, 2, 0.5, 90));
         let shard = updates(700);
-        let plan = plan_dynamic(0, &shard, 128, params, 9, ShipFormat::Json, None, 50);
+        let plan = plan_dynamic(0, &shard, 128, params, 9, None, 50);
         let (reply, _, _) = drive(plan).finish().unwrap();
         let mut blob = DynamicSketch::new(params, 9);
         for sub in shard.chunks(50) {
@@ -409,7 +386,7 @@ mod tests {
     fn duplicate_chunks_are_rejected_without_touching_the_sketch() {
         let params = DynamicSketchParams::new(SketchParams::with_budget(4, 2, 0.5, 90));
         let shard = updates(600);
-        let plan = plan_dynamic(1, &shard, 100, params, 5, ShipFormat::Binary, None, 64);
+        let plan = plan_dynamic(1, &shard, 100, params, 5, None, 64);
         let replayed: Vec<Message> = plan.chunks.clone();
         let mut build = match plan.start {
             Message::ChunkStartDynamic {
@@ -417,10 +394,9 @@ mod tests {
                 chunks,
                 params,
                 seed,
-                ship,
                 fault,
                 batch,
-            } => ChunkedBuild::dynamic(shard, chunks, params, seed, ship, fault, batch),
+            } => ChunkedBuild::dynamic(shard, chunks, params, seed, fault, batch),
             other => panic!("not a chunk start: {other:?}"),
         };
         // Deliver each chunk twice, back to back — the dup@N fault's
@@ -463,7 +439,7 @@ mod tests {
     #[test]
     fn gaps_mismatches_and_early_finish_are_typed_errors() {
         let params = SketchParams::with_budget(3, 1, 0.5, 60);
-        let mk = || ChunkedBuild::sketch(2, 3, params, 1, ShipFormat::Binary, None, 16);
+        let mk = || ChunkedBuild::sketch(2, 3, params, 1, None, 16);
         let payload = || ChunkPayload::Edges(edges(10));
 
         // Gap: chunk 1 before chunk 0.
@@ -479,7 +455,7 @@ mod tests {
         // Early finish.
         assert!(mk().finish().is_err());
         // Chunk past a completed stream.
-        let mut done = ChunkedBuild::sketch(0, 1, params, 1, ShipFormat::Binary, None, 16);
+        let mut done = ChunkedBuild::sketch(0, 1, params, 1, None, 16);
         done.accept(0, 0, 1, payload()).unwrap();
         assert!(done.complete());
         assert!(done.accept(0, 1, 1, payload()).is_err());
@@ -488,7 +464,7 @@ mod tests {
     #[test]
     fn empty_shard_plans_zero_chunks_and_finishes_immediately() {
         let params = SketchParams::with_budget(3, 1, 0.5, 60);
-        let plan = plan_sketch(0, &[], 64, params, 7, ShipFormat::Binary, None, 16);
+        let plan = plan_sketch(0, &[], 64, params, 7, None, 16);
         match &plan.start {
             Message::ChunkStartSketch { chunks, .. } => assert_eq!(*chunks, 0),
             other => panic!("wrong start: {other:?}"),

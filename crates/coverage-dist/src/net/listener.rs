@@ -34,10 +34,12 @@
 //! Every shard job is self-contained (params + seed + the shard's
 //! edges) and `merge_from` is associative and commutative, so a shard
 //! requeued after a mid-stream link loss — or rebuilt inline when the
-//! registry empties — produces byte-identical locals. The reduce
-//! consumes locals in shard order regardless of which worker built
-//! them; the family is therefore bit-identical to the serial executor
-//! under **any** fault schedule, which `tests/process_execution.rs`,
+//! registry empties — produces byte-identical locals. The coordinator
+//! restores each reply's snapshot and reduces the locals in memory, in
+//! shard order regardless of which worker built them, through the same
+//! pipeline tail as the in-process executors ([`crate::pipeline`]); the
+//! family is therefore bit-identical to the serial executor under
+//! **any** fault schedule, which `tests/process_execution.rs`,
 //! `tests/socket_execution.rs` and the chaos suite assert.
 
 use std::collections::VecDeque;
@@ -51,24 +53,21 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use coverage_core::offline::bucket_greedy_k_cover;
 use coverage_core::SetId;
-use coverage_sketch::{DynamicSketch, DynamicSnapshot, SketchSnapshot, ThresholdSketch};
+use coverage_sketch::{DynamicSketch, ThresholdSketch};
 use coverage_stream::{DynamicEdgeStream, EdgeStream};
 
 use crate::fault::{Fault, FaultPlan};
-use crate::parallel::{partition_edges, partition_updates, DEFAULT_BATCH, DEFAULT_FAN_IN};
+use crate::parallel::{DEFAULT_BATCH, DEFAULT_FAN_IN};
+use crate::pipeline::{run_pipeline, Mapped, RunReport, ShardSketch};
 use crate::proto::{read_message, write_message, Message, ProtoError};
-use crate::rounds::{tree_reduce_with, RoundsReport, ShipFormat};
-use crate::runner::{
-    recover_and_solve, DeadlineWheel, DistConfig, RetryPolicy, RunError, WorkerCommand,
-};
+use crate::rounds::RoundsReport;
+use crate::runner::{DeadlineWheel, DistConfig, RetryPolicy, RunError, WorkerCommand};
 
-use super::chunk::{plan_dynamic, plan_sketch, ChunkPlan};
 use super::registry::{HeartbeatStats, Liveness, WorkerRegistry, WorkerSummary};
 
-/// Fault/recovery/registry accounting of one coordinator run, embedded
-/// in [`SocketResult`]/[`DynSocketResult`].
+/// Fault/recovery/registry accounting of one coordinator run: the
+/// counter block of every [`RunReport`] (all zero for in-process runs).
 #[derive(Clone, Debug, Default)]
 pub struct SocketRunStats {
     /// Workers admitted to the registry over the whole run (spawned
@@ -118,58 +117,7 @@ pub struct SocketRunStats {
     pub workers: Vec<WorkerSummary>,
 }
 
-/// Result of a [`Coordinator`] insertion-only run: the report both
-/// transports fill. [`ProcessRunner::run`] returns its flat
-/// [`ProcessResult`] view instead.
-#[derive(Clone, Debug)]
-pub struct SocketResult {
-    /// The selected family (identical to the serial and parallel
-    /// executors').
-    pub family: Vec<SetId>,
-    /// Inverse-probability estimate of the family's coverage.
-    pub estimated_coverage: f64,
-    /// The merged sketch's final size (edges).
-    pub merged_edges: usize,
-    /// Tree-reduce round/communication accounting.
-    pub rounds: RoundsReport,
-    /// Registry, fault, and recovery accounting.
-    pub stats: SocketRunStats,
-    /// Wall-clock nanoseconds partitioning the stream.
-    pub partition_ns: u64,
-    /// Wall-clock nanoseconds streaming shards and collecting replies.
-    pub map_ns: u64,
-    /// Wall-clock nanoseconds in the reduce + solve tail.
-    pub reduce_solve_ns: u64,
-}
-
-/// Result of a [`Coordinator`] dynamic (insert/delete) run, on either
-/// transport.
-#[derive(Clone, Debug)]
-pub struct DynSocketResult {
-    /// The selected family (identical to the serial dynamic executor's).
-    pub family: Vec<SetId>,
-    /// Inverse-probability estimate of the family's coverage on the
-    /// surviving graph.
-    pub estimated_coverage: f64,
-    /// The subsampling level the merged sketch decoded at.
-    pub sample_level: usize,
-    /// That level's sampling probability `p = 2^{−level}`.
-    pub sampling_p: f64,
-    /// Surviving edges recovered from the merged sketch.
-    pub recovered_edges: usize,
-    /// Tree-reduce round/communication accounting.
-    pub rounds: RoundsReport,
-    /// Registry, fault, and recovery accounting.
-    pub stats: SocketRunStats,
-    /// Wall-clock nanoseconds partitioning the stream.
-    pub partition_ns: u64,
-    /// Wall-clock nanoseconds streaming shards and collecting replies.
-    pub map_ns: u64,
-    /// Wall-clock nanoseconds in the reduce + recover + solve tail.
-    pub reduce_solve_ns: u64,
-}
-
-/// The flat view of a [`SocketResult`] that [`ProcessRunner::run`]
+/// The flat view of a [`RunReport`] that [`ProcessRunner::run`]
 /// returns: the same run, with the counters lifted out of
 /// [`SocketRunStats`] under the pipe executor's older names.
 #[derive(Clone, Debug)]
@@ -202,14 +150,15 @@ pub struct ProcessResult {
     pub heartbeat: HeartbeatStats,
     /// Wall-clock nanoseconds partitioning the stream.
     pub partition_ns: u64,
-    /// Wall-clock nanoseconds streaming shards and collecting replies.
+    /// Wall-clock nanoseconds streaming shards, collecting replies and
+    /// restoring their snapshots.
     pub map_ns: u64,
     /// Wall-clock nanoseconds in the reduce + solve tail.
     pub reduce_solve_ns: u64,
 }
 
-impl From<SocketResult> for ProcessResult {
-    fn from(r: SocketResult) -> Self {
+impl From<RunReport> for ProcessResult {
+    fn from(r: RunReport) -> Self {
         let s = r.stats;
         ProcessResult {
             family: r.family,
@@ -545,12 +494,12 @@ impl Workers {
     }
 }
 
-/// The worker coordinator: the map → tree-reduce → solve pipeline of
-/// [`crate::ParallelRunner`], with each shard built by a worker at the
-/// far end of a link — a pipe to a child process or a TCP connection.
-/// `R` is the shape [`run`](Self::run) returns: the full
-/// [`SocketResult`] report, or the flat [`ProcessResult`] view that
-/// [`ProcessRunner`] keeps for older callers.
+/// The worker coordinator: the executor pipeline of
+/// [`crate::pipeline`], with each shard built by a worker at the far end
+/// of a link — a pipe to a child process or a TCP connection. `R` is the
+/// shape [`run`](Self::run) returns: the [`RunReport`], or the flat
+/// [`ProcessResult`] view that [`ProcessRunner`] keeps for older
+/// callers.
 ///
 /// Three deployment shapes share the implementation:
 ///
@@ -567,10 +516,12 @@ impl Workers {
 ///   and handed queued shards.
 ///
 /// The parent partitions the stream with the same
-/// [`partition_edges`]/[`partition_updates`] and
+/// [`partition_edges`](crate::partition_edges)/[`partition_updates`](crate::partition_updates) and
 /// [`DistConfig::shard_seed`] as the in-process executors and orders
-/// the returned locals by shard index, so the reduce sees the exact
-/// sequence they see and the selected family is identical.
+/// the returned locals by shard index, so the in-memory reduce sees the
+/// exact sequence they see and the selected family is identical.
+/// Workers reply with binary snapshot frames; only those reply bytes
+/// count as [`SocketRunStats::wire_bytes`].
 ///
 /// Liveness is heartbeat-driven, not EOF-driven: the coordinator probes
 /// every link on a fixed cadence, and the registry grades each worker
@@ -602,7 +553,6 @@ pub struct Coordinator<R> {
     processes: usize,
     fan_in: usize,
     batch: usize,
-    ship: ShipFormat,
     fault_plan: FaultPlan,
     job_timeout: Duration,
     retry: RetryPolicy,
@@ -621,8 +571,8 @@ pub struct Coordinator<R> {
 pub type ProcessRunner = Coordinator<ProcessResult>;
 
 /// The coordinator over TCP workers; [`run`](Coordinator::run) returns
-/// the [`SocketResult`] report.
-pub type SocketRunner = Coordinator<SocketResult>;
+/// the [`RunReport`].
+pub type SocketRunner = Coordinator<RunReport>;
 
 /// Default per-job deadline — generous for real shard builds, tight
 /// enough that an operator notices a hung fleet inside a minute.
@@ -665,7 +615,6 @@ impl<R> Coordinator<R> {
             processes,
             fan_in: DEFAULT_FAN_IN,
             batch: DEFAULT_BATCH,
-            ship: ShipFormat::Binary,
             fault_plan: FaultPlan::none(),
             job_timeout: DEFAULT_JOB_TIMEOUT,
             retry: RetryPolicy::default(),
@@ -722,15 +671,6 @@ impl<R> Coordinator<R> {
     pub fn with_batch(mut self, batch: usize) -> Self {
         assert!(batch >= 1, "batch must be at least 1");
         self.batch = batch;
-        self
-    }
-
-    /// Override the ship format for worker replies and the reduce.
-    /// [`ShipFormat::InMemory`] cannot cross a link and is mapped to
-    /// [`ShipFormat::Binary`] for the replies (the reduce still honors
-    /// it).
-    pub fn with_ship_format(mut self, ship: ShipFormat) -> Self {
-        self.ship = ship;
         self
     }
 
@@ -799,33 +739,26 @@ impl<R> Coordinator<R> {
         self
     }
 
-    /// Schedule one extra worker process to be spawned `after` the run
-    /// starts (pipe and loopback modes) — deterministic late-joiner
-    /// admission for tests and the chaos suite. May be called multiple
-    /// times.
+    /// Schedule one extra worker process to be spawned `after` the first
+    /// shard is dispatched (pipe and loopback modes), so it joins a run
+    /// already under way — deterministic late-joiner admission for tests
+    /// and the chaos suite. May be called multiple times.
     pub fn with_late_worker_after(mut self, after: Duration) -> Self {
         self.late_spawns.push(after);
         self
     }
 
-    /// The reply encoding actually used on the links.
-    fn pipe_format(&self) -> ShipFormat {
-        match self.ship {
-            ShipFormat::Json => ShipFormat::Json,
-            _ => ShipFormat::Binary,
-        }
-    }
-
-    /// Start the workers and drive every shard job to a snapshot. See
-    /// the module docs for the thread shape and the type-level docs for
-    /// the recovery discipline.
-    fn dispatch<Snap>(
+    /// Start the workers and drive every shard job to a snapshot: a
+    /// worker's reply, or an inline build. See the module docs for the
+    /// thread shape and the type-level docs for the recovery discipline.
+    fn dispatch<S: ShardSketch>(
         &self,
-        n_shards: usize,
-        plan_shard: impl Fn(usize, Option<Fault>) -> ChunkPlan,
-        extract: impl Fn(Message) -> Option<Snap>,
-        inline: impl Fn(usize) -> Snap,
-    ) -> Result<(Vec<Snap>, SocketRunStats), RunError> {
+        shards: &[Vec<S::Item>],
+        params: S::Params,
+    ) -> Result<(Vec<S::Snapshot>, SocketRunStats), RunError> {
+        let n_shards = shards.len();
+        let seed = self.cfg.seed;
+        let inline = |shard: usize| S::build(params, seed, &shards[shard]).snapshot();
         let listener = match &self.workers {
             Workers::Tcp { listen, .. } => Some(TcpListener::bind(listen)?),
             Workers::Pipes(_) => None,
@@ -862,8 +795,6 @@ impl<R> Coordinator<R> {
                     std::io::Error::other("no worker could be spawned")
                 })));
             }
-            pending_spawns = self.late_spawns.iter().map(|d| started + *d).collect();
-            pending_spawns.sort();
         }
 
         let mut faults = self.fault_plan.schedule(n_shards);
@@ -875,7 +806,7 @@ impl<R> Coordinator<R> {
         let mut queue: VecDeque<usize> = (0..n_shards).collect();
         let mut ready_at: Vec<Instant> = vec![started; n_shards];
         let mut attempts: Vec<usize> = vec![0; n_shards];
-        let mut snapshots: Vec<Option<Snap>> = (0..n_shards).map(|_| None).collect();
+        let mut snapshots: Vec<Option<S::Snapshot>> = (0..n_shards).map(|_| None).collect();
         let mut resolved = 0usize;
         let mut retries_spent = 0usize;
         let mut nonce_counter: u64 = 0x4E45_5400_0000_0000;
@@ -1021,9 +952,23 @@ impl<R> Coordinator<R> {
                     Some(Fault::DupChunk) => stats.chunk_dups_injected += 1,
                     _ => {}
                 }
-                let plan = plan_shard(shard, worker_fault);
+                let plan = S::plan(
+                    shard,
+                    &shards[shard],
+                    self.chunk_items,
+                    params,
+                    seed,
+                    worker_fault,
+                    self.batch,
+                );
                 let chunks_total = plan.chunks.len() as u32;
                 stats.chunks_streamed += plan.chunks.len();
+                if !dispatch_started && self.processes > 0 {
+                    // Late spawns count from the first dispatch, so they
+                    // join a run already under way.
+                    pending_spawns = self.late_spawns.iter().map(|d| now + *d).collect();
+                    pending_spawns.sort();
+                }
                 dispatch_started = true;
                 let conn = &mut conns[ci];
                 conn.shared.acked.store(0, Ordering::Release);
@@ -1151,7 +1096,7 @@ impl<R> Coordinator<R> {
                         msg => {
                             let inflight = conns[ci].inflight;
                             match inflight {
-                                Some(shard) => match extract(msg) {
+                                Some(shard) => match S::reply(msg) {
                                     Some(snap) => {
                                         if snapshots[shard].is_none() {
                                             snapshots[shard] = Some(snap);
@@ -1276,63 +1221,9 @@ impl<R> Coordinator<R> {
     /// per the type-level docs.
     pub fn run(&self, stream: &dyn EdgeStream) -> Result<R, RunError>
     where
-        R: From<SocketResult>,
+        R: From<RunReport>,
     {
-        let cfg = &self.cfg;
-        let params = cfg.sketch_params(stream.num_sets());
-        let ship = self.pipe_format();
-
-        let t0 = Instant::now();
-        let shards = partition_edges(stream, cfg.machines, cfg.shard_seed(), self.batch);
-        let partition_ns = t0.elapsed().as_nanos() as u64;
-
-        let t1 = Instant::now();
-        let (snapshots, stats) = self.dispatch(
-            shards.len(),
-            |shard, worker_fault| {
-                plan_sketch(
-                    shard as u32,
-                    &shards[shard],
-                    self.chunk_items,
-                    params,
-                    cfg.seed,
-                    ship,
-                    worker_fault,
-                    self.batch,
-                )
-            },
-            |msg| match msg {
-                Message::ReplySketch { snapshot, .. } => Some(snapshot),
-                _ => None,
-            },
-            |shard| {
-                let mut s = ThresholdSketch::new(params, cfg.seed);
-                for chunk in shards[shard].chunks(self.batch) {
-                    s.update_batch(chunk);
-                }
-                SketchSnapshot::of(&s)
-            },
-        )?;
-        let map_ns = t1.elapsed().as_nanos() as u64;
-
-        let t2 = Instant::now();
-        let locals: Vec<ThresholdSketch> = snapshots.iter().map(|s| s.restore()).collect();
-        let (merged, rounds) = tree_reduce_with(locals, self.fan_in, self.ship);
-        let trace = bucket_greedy_k_cover(&merged.csr_view(), cfg.k);
-        let family = trace.family();
-        let reduce_solve_ns = t2.elapsed().as_nanos() as u64;
-
-        Ok(SocketResult {
-            estimated_coverage: merged.estimate_coverage(&family),
-            merged_edges: merged.edges_stored(),
-            family,
-            rounds,
-            stats,
-            partition_ns,
-            map_ns,
-            reduce_solve_ns,
-        }
-        .into())
+        self.execute::<ThresholdSketch>(stream).map(R::from)
     }
 
     /// Run the dynamic (insert/delete) pipeline over the workers.
@@ -1341,61 +1232,27 @@ impl<R> Coordinator<R> {
     ///
     /// Panics if no subsampling level of the merged sketch decodes (the
     /// sketch was sized with too few levels for the surviving edges).
-    pub fn run_dynamic(&self, stream: &dyn DynamicEdgeStream) -> Result<DynSocketResult, RunError> {
-        let cfg = &self.cfg;
-        let params = cfg.dynamic_sketch_params(stream.num_sets());
-        let ship = self.pipe_format();
+    pub fn run_dynamic(&self, stream: &dyn DynamicEdgeStream) -> Result<RunReport, RunError> {
+        self.execute::<DynamicSketch>(stream)
+    }
 
-        let t0 = Instant::now();
-        let shards = partition_updates(stream, cfg.machines, cfg.shard_seed(), self.batch);
-        let partition_ns = t0.elapsed().as_nanos() as u64;
-
-        let t1 = Instant::now();
-        let (snapshots, stats) = self.dispatch(
-            shards.len(),
-            |shard, worker_fault| {
-                plan_dynamic(
-                    shard as u32,
-                    &shards[shard],
-                    self.chunk_items,
-                    params,
-                    cfg.seed,
-                    ship,
-                    worker_fault,
-                    self.batch,
-                )
+    /// The pipeline with its map step on the workers: stream every shard
+    /// as a chunked job, then restore the replied snapshots (or inline
+    /// builds) in shard order.
+    fn execute<S: ShardSketch>(&self, stream: &S::Stream<'_>) -> Result<RunReport, RunError> {
+        run_pipeline::<S, RunError>(
+            stream,
+            &self.cfg,
+            self.batch,
+            self.fan_in,
+            |shards, params| {
+                let (snapshots, stats) = self.dispatch::<S>(shards, params)?;
+                Ok(Mapped {
+                    locals: snapshots.iter().map(S::restore).collect(),
+                    per_machine: Vec::new(),
+                    stats,
+                })
             },
-            |msg| match msg {
-                Message::ReplyDynamic { snapshot, .. } => Some(snapshot),
-                _ => None,
-            },
-            |shard| {
-                let mut s = DynamicSketch::new(params, cfg.seed);
-                for chunk in shards[shard].chunks(self.batch) {
-                    s.update_batch(chunk);
-                }
-                DynamicSnapshot::of(&s)
-            },
-        )?;
-        let map_ns = t1.elapsed().as_nanos() as u64;
-
-        let t2 = Instant::now();
-        let locals: Vec<DynamicSketch> = snapshots.iter().map(|s| s.restore()).collect();
-        let (merged, rounds) = tree_reduce_with(locals, self.fan_in, self.ship);
-        let (family, estimated_coverage, sample) = recover_and_solve(&merged, cfg.k);
-        let reduce_solve_ns = t2.elapsed().as_nanos() as u64;
-
-        Ok(DynSocketResult {
-            family,
-            estimated_coverage,
-            sample_level: sample.level,
-            sampling_p: sample.sampling_p,
-            recovered_edges: sample.edges.len(),
-            rounds,
-            stats,
-            partition_ns,
-            map_ns,
-            reduce_solve_ns,
-        })
+        )
     }
 }

@@ -31,8 +31,5 @@ pub mod listener;
 pub mod registry;
 
 pub use chunk::{ChunkPlan, ChunkVerdict, ChunkedBuild};
-pub use listener::{
-    Coordinator, DynSocketResult, ProcessResult, ProcessRunner, SocketResult, SocketRunStats,
-    SocketRunner,
-};
+pub use listener::{Coordinator, ProcessResult, ProcessRunner, SocketRunStats, SocketRunner};
 pub use registry::{HeartbeatStats, Liveness, WorkerRegistry, WorkerState, WorkerSummary};

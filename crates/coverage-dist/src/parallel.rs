@@ -1,36 +1,33 @@
 //! True parallel execution of the distributed k-cover pipeline.
 //!
-//! [`distributed_k_cover`](crate::runner::distributed_k_cover) *simulates*
-//! `w` machines but pays two prices the paper's model does not charge:
-//! every machine re-filters the **entire** stream through its
-//! [`ShardedStream`](crate::partition::ShardedStream) view (`O(w·|E|)`
-//! harness work), and the per-machine builds, while spawned on scoped
-//! threads, each re-walk the full input. [`ParallelRunner`] removes both
-//! costs:
+//! [`ParallelRunner`] runs the one executor pipeline of
+//! [`crate::pipeline`] with its map step on up to `threads` scoped
+//! threads:
 //!
 //! 1. **Partition** — one batched pass over the stream routes every edge
-//!    into its shard's buffer (`O(|E|)` total, [`shard_of_edge`]
-//!    assignment identical to the sequential simulation);
-//! 2. **Map** — up to `threads` workers build the per-machine
-//!    [`ThresholdSketch`]es concurrently, each consuming its
-//!    materialized buffer through the monomorphic
-//!    [`ThresholdSketch::update_batch`] hot loop;
-//! 3. **Reduce** — the local sketches are tree-merged by
-//!    [`tree_reduce_with`]; the default
-//!    [`ShipFormat::InMemory`] merges directly (a shared-memory
-//!    reducer), while [`ShipFormat::Json`] routes every ship through the
-//!    full [`SketchSnapshot`](coverage_sketch::SketchSnapshot) wire
-//!    round-trip;
+//!    into its shard's buffer ([`partition_edges`], `O(|E|)` total,
+//!    [`shard_of_edge`] assignment identical to the serial simulation);
+//! 2. **Map** — up to `threads` workers build the per-machine sketches
+//!    concurrently, each consuming its materialized buffer through the
+//!    monomorphic [`ThresholdSketch::update_batch`] hot loop;
+//! 3. **Reduce** — the local sketches are tree-merged in memory by
+//!    [`tree_reduce_with`](crate::rounds::tree_reduce_with) (a
+//!    shared-memory reducer);
 //! 4. **Solve** — the merged sketch is exported as a packed CSR view
 //!    (`ThresholdSketch::csr_view`, no rebuild) and solved by the exact
 //!    decremental bucket-queue greedy, as in Algorithm 3 (the engine is
 //!    trace-identical to the lazy reference).
 //!
+//! The partition pass is the only step that reads the stream, and it
+//! finishes before any shard is built: one map schedule for every
+//! executor, at the price of materializing the shard buffers.
+//!
 //! ## Determinism contract
 //!
 //! For the same [`DistConfig`] (machines, seed, sizing) the parallel
-//! runner selects the **identical cover** — the same [`SetId`] sequence —
-//! as the sequential simulation, for any thread count, batch size, or
+//! runner selects the **identical cover** — the same
+//! [`SetId`](coverage_core::SetId) sequence — as the serial
+//! simulation, for any thread count, batch size, or
 //! reduce fan-in. Two properties make this provable rather than
 //! incidental: shard assignment and per-shard edge order are independent
 //! of the execution schedule (each shard's buffer preserves arrival
@@ -40,15 +37,14 @@
 //! across workload generators in this crate and in the workspace-level
 //! suite.
 
-use std::time::Instant;
+use std::convert::Infallible;
 
-use coverage_core::offline::bucket_greedy_k_cover;
-use coverage_core::{Edge, SetId};
+use coverage_core::Edge;
 use coverage_sketch::{DynamicSketch, SketchBank, SketchParams, ThresholdSketch};
-use coverage_stream::{DynamicEdgeStream, EdgeStream, SignedEdge, SpaceReport};
+use coverage_stream::{DynamicEdgeStream, EdgeStream, SignedEdge};
 
 use crate::partition::shard_of_edge;
-use crate::rounds::{tree_reduce_with, RoundsReport, ShipFormat};
+use crate::pipeline::{run_pipeline, Mapped, RunReport, ShardSketch};
 use crate::runner::{panic_message, DistConfig, RunError};
 
 /// Default partition batch size: large enough to amortize virtual
@@ -58,37 +54,6 @@ pub const DEFAULT_BATCH: usize = 1 << 12;
 /// Default reduce fan-in (mirrors a small MapReduce reducer group).
 pub const DEFAULT_FAN_IN: usize = 4;
 
-/// Bounded depth of each pipeline worker's chunk channel, in chunks.
-/// Deep enough to ride out scheduling hiccups; shallow enough that a
-/// slow worker exerts backpressure on the feeder instead of buffering
-/// its whole shard (which would silently reintroduce the two-barrier
-/// schedule's memory profile).
-pub const PIPELINE_DEPTH: usize = 8;
-
-/// How a [`ParallelRunner`] schedules partitioning relative to sketch
-/// building.
-///
-/// Both modes produce **bit-identical** results — shard assignment,
-/// per-shard arrival order, and the sketches' batch-size invariance are
-/// all schedule-independent (differentially stress-tested in
-/// `tests/pipeline_equivalence.rs`); the mode is purely a wall-clock /
-/// memory-profile knob.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum IngestMode {
-    /// Partitioning **overlaps** building (the default): the caller
-    /// thread routes edges into per-shard chunk buffers and ships each
-    /// filled chunk over its owning worker's bounded channel
-    /// ([`PIPELINE_DEPTH`]), so workers ingest while the stream is
-    /// still being read and no shard is ever fully materialized by the
-    /// feeder.
-    Pipelined,
-    /// The original two-phase schedule: materialize every shard buffer
-    /// ([`partition_edges`]), then build — a barrier between the
-    /// phases. Retained as the differential baseline and for callers
-    /// that want the partition/map phase split measured separately.
-    TwoBarrier,
-}
-
 /// Parallel sharded executor for the distributed k-cover pipeline.
 #[derive(Clone, Copy, Debug)]
 pub struct ParallelRunner {
@@ -96,77 +61,6 @@ pub struct ParallelRunner {
     threads: usize,
     fan_in: usize,
     batch: usize,
-    ship: ShipFormat,
-    ingest: IngestMode,
-}
-
-/// Result of a [`ParallelRunner`] run: the sequential
-/// [`DistResult`](crate::runner::DistResult) fields plus the reduce-round
-/// accounting and wall-clock phase breakdown.
-#[derive(Clone, Debug)]
-pub struct ParallelResult {
-    /// The selected family (identical to the sequential runner's).
-    pub family: Vec<SetId>,
-    /// Inverse-probability estimate of the family's coverage.
-    pub estimated_coverage: f64,
-    /// Per-machine space reports.
-    pub per_machine: Vec<SpaceReport>,
-    /// The merged sketch's final size (edges).
-    pub merged_edges: usize,
-    /// Tree-reduce round/communication accounting.
-    pub rounds: RoundsReport,
-    /// Worker threads actually used (≤ requested, ≤ machines).
-    pub threads_used: usize,
-    /// Wall-clock of the partition pass, in nanoseconds.
-    pub partition_ns: u64,
-    /// Wall-clock of the concurrent map phase, in nanoseconds.
-    pub map_ns: u64,
-    /// Wall-clock of reduce + solve, in nanoseconds.
-    pub reduce_solve_ns: u64,
-}
-
-impl ParallelResult {
-    /// Total wall-clock across the three phases, in nanoseconds.
-    pub fn total_ns(&self) -> u64 {
-        self.partition_ns + self.map_ns + self.reduce_solve_ns
-    }
-}
-
-/// Result of a [`ParallelRunner::run_dynamic`] run: the dynamic
-/// counterpart of [`ParallelResult`], reporting the recovered sample
-/// instead of merged sketch edges.
-#[derive(Clone, Debug)]
-pub struct DynamicParallelResult {
-    /// The selected family (identical to the serial dynamic runner's).
-    pub family: Vec<SetId>,
-    /// Inverse-probability estimate of the family's coverage on the
-    /// surviving graph.
-    pub estimated_coverage: f64,
-    /// Per-machine space reports.
-    pub per_machine: Vec<SpaceReport>,
-    /// Tree-reduce round/communication accounting.
-    pub rounds: RoundsReport,
-    /// Worker threads actually used (≤ requested, ≤ machines).
-    pub threads_used: usize,
-    /// The subsampling level the merged sketch decoded at.
-    pub sample_level: usize,
-    /// That level's sampling probability `p = 2^{−level}`.
-    pub sampling_p: f64,
-    /// Surviving edges recovered from the merged sketch.
-    pub recovered_edges: usize,
-    /// Wall-clock of the partition pass, in nanoseconds.
-    pub partition_ns: u64,
-    /// Wall-clock of the concurrent map phase, in nanoseconds.
-    pub map_ns: u64,
-    /// Wall-clock of reduce + recover + solve, in nanoseconds.
-    pub reduce_solve_ns: u64,
-}
-
-impl DynamicParallelResult {
-    /// Total wall-clock across the three phases, in nanoseconds.
-    pub fn total_ns(&self) -> u64 {
-        self.partition_ns + self.map_ns + self.reduce_solve_ns
-    }
 }
 
 impl ParallelRunner {
@@ -178,36 +72,13 @@ impl ParallelRunner {
             threads,
             fan_in: DEFAULT_FAN_IN,
             batch: DEFAULT_BATCH,
-            ship: ShipFormat::InMemory,
-            ingest: IngestMode::Pipelined,
         }
-    }
-
-    /// Override the ingest schedule (default [`IngestMode::Pipelined`]).
-    /// Output-invariant; see [`IngestMode`].
-    pub fn with_ingest_mode(mut self, ingest: IngestMode) -> Self {
-        self.ingest = ingest;
-        self
-    }
-
-    /// The ingest schedule this runner uses.
-    pub fn ingest_mode(&self) -> IngestMode {
-        self.ingest
     }
 
     /// Override the reduce fan-in (`≥ 2`).
     pub fn with_fan_in(mut self, fan_in: usize) -> Self {
         assert!(fan_in >= 2, "fan-in must be at least 2");
         self.fan_in = fan_in;
-        self
-    }
-
-    /// Override the reduce ship format. The default is
-    /// [`ShipFormat::InMemory`] (a shared-memory reducer); pick
-    /// [`ShipFormat::Json`] to run every ship through the full snapshot
-    /// wire round-trip (slower, exercises serialization fidelity).
-    pub fn with_ship_format(mut self, ship: ShipFormat) -> Self {
-        self.ship = ship;
         self
     }
 
@@ -232,170 +103,46 @@ impl ParallelRunner {
         machines.max(1).div_ceil(per_worker)
     }
 
-    /// The pipelined map phase ([`IngestMode::Pipelined`]), generic over
-    /// the buffered element and the per-shard builder so the
-    /// insertion-only, dynamic, and bank pipelines share it. The caller
-    /// thread (`drive` + `route`) streams edges into per-shard chunk
-    /// buffers of `self.batch` elements and ships each filled chunk over
-    /// the owning worker's bounded channel; each worker owns the same
-    /// contiguous shard range [`map_buffers`](Self::map_buffers) would
-    /// give it and feeds arriving chunks to that shard's builder.
-    ///
-    /// Determinism: shard assignment is a pure function of the edge,
-    /// each shard's chunks preserve arrival order (one feeder, FIFO
-    /// channels), and chunk boundaries depend only on the stream and
-    /// `self.batch` — so per-shard builders see exactly the two-barrier
-    /// schedule's edge sequence, split at deterministic boundaries that
-    /// the sketches' batch-size invariance makes irrelevant.
-    ///
-    /// Returns `(per-shard builders, feed_ns, drain_ns)`: `feed_ns` is
-    /// the caller thread's routing/shipping time (the pipelined
-    /// "partition phase" — building overlaps it), `drain_ns` the
-    /// remaining tail until all workers finish.
-    ///
-    /// A panic on any pipeline thread is returned as a typed
-    /// [`RunError::Panic`] (the partial builders are discarded — they
-    /// may be torn); callers degrade to a serial rebuild, never abort.
-    fn pipelined_map<B, T>(
-        &self,
-        machines: usize,
-        drive: impl FnOnce(&mut dyn FnMut(&[B])),
-        route: impl Fn(B) -> usize,
-        make: impl Fn() -> T + Sync,
-        feed: impl Fn(&mut T, &[B]) + Sync,
-    ) -> Result<(Vec<T>, u64, u64), RunError>
-    where
-        B: Copy + Send,
-        T: Send,
-    {
-        let workers = self.workers(machines);
-        let per_worker = machines.max(1).div_ceil(workers);
-        let batch = self.batch;
-        let mut locals: Vec<Option<T>> = (0..machines).map(|_| None).collect();
-        let t0 = Instant::now();
-        let feed_ns = crossbeam::scope(|scope| {
-            let make = &make;
-            let feed = &feed;
-            let mut senders = Vec::with_capacity(workers);
-            for slot_chunk in locals.chunks_mut(per_worker) {
-                let (tx, rx) = std::sync::mpsc::sync_channel::<(usize, Vec<B>)>(PIPELINE_DEPTH);
-                senders.push(tx);
-                scope.spawn(move |_| {
-                    let mut builders: Vec<T> = (0..slot_chunk.len()).map(|_| make()).collect();
-                    while let Ok((local, chunk)) = rx.recv() {
-                        feed(&mut builders[local], &chunk);
-                    }
-                    for (slot, b) in slot_chunk.iter_mut().zip(builders) {
-                        *slot = Some(b);
-                    }
-                });
-            }
-            let t_feed = Instant::now();
-            let mut bufs: Vec<Vec<B>> = (0..machines).map(|_| Vec::with_capacity(batch)).collect();
-            drive(&mut |incoming| {
-                for &e in incoming {
-                    let s = route(e);
-                    let buf = &mut bufs[s];
-                    buf.push(e);
-                    if buf.len() >= batch {
-                        let full = std::mem::replace(buf, Vec::with_capacity(batch));
-                        // A send can only fail when the owning worker
-                        // panicked; keep feeding the survivors — the
-                        // scope reports the panic as Err below and the
-                        // whole attempt is discarded.
-                        let _ = senders[s / per_worker].send((s % per_worker, full));
-                    }
-                }
-            });
-            for (s, buf) in bufs.into_iter().enumerate() {
-                if !buf.is_empty() {
-                    let _ = senders[s / per_worker].send((s % per_worker, buf));
-                }
-            }
-            // Dropping the senders closes the channels; workers drain
-            // their queues and park their builders.
-            drop(senders);
-            t_feed.elapsed().as_nanos() as u64
-        })
-        .map_err(|p| RunError::Panic(panic_message(p)))?;
-        let total_ns = t0.elapsed().as_nanos() as u64;
-        let locals = locals
-            .into_iter()
-            .map(|s| s.expect("every shard slot is filled"))
-            .collect();
-        Ok((locals, feed_ns, total_ns.saturating_sub(feed_ns)))
-    }
-
     /// Execute the full pipeline on `stream`.
     ///
-    /// Unlike the sequential simulation the stream need not be [`Sync`]:
-    /// it is consumed once, single-threaded, by the feeder (pipelined
-    /// mode) or the partition pass (two-barrier mode); only materialized
-    /// chunks cross threads.
-    pub fn run(&self, stream: &dyn EdgeStream) -> ParallelResult {
-        let cfg = &self.cfg;
-        let params = cfg.sketch_params(stream.num_sets());
+    /// Unlike the shard builds, the stream need not be [`Sync`]: it is
+    /// consumed once, single-threaded, by the partition pass; only
+    /// materialized shard buffers cross threads.
+    pub fn run(&self, stream: &dyn EdgeStream) -> RunReport {
+        self.execute::<ThresholdSketch>(stream)
+    }
 
-        let (locals, partition_ns, map_ns) = match self.ingest {
-            IngestMode::TwoBarrier => {
-                let t0 = Instant::now();
-                let buffers = partition_edges(stream, cfg.machines, cfg.shard_seed(), self.batch);
-                let partition_ns = t0.elapsed().as_nanos() as u64;
-                let t1 = Instant::now();
-                let locals = self.map_sketches(&buffers, params, cfg.seed);
-                (locals, partition_ns, t1.elapsed().as_nanos() as u64)
-            }
-            IngestMode::Pipelined => {
-                let (machines, shard_seed) = (cfg.machines, cfg.shard_seed());
-                let piped = self.pipelined_map(
-                    machines,
-                    |f| stream.for_each_batch(self.batch, f),
-                    |e: Edge| shard_of_edge(e, machines, shard_seed),
-                    || ThresholdSketch::new(params, cfg.seed),
-                    |s: &mut ThresholdSketch, chunk: &[Edge]| s.update_batch(chunk),
-                );
-                match piped {
-                    Ok(r) => r,
-                    Err(_) => {
-                        // A pipeline thread panicked: rebuild serially
-                        // on this thread (identical output by the
-                        // determinism contract, only slower).
-                        let t0 = Instant::now();
-                        let buffers = partition_edges(stream, machines, shard_seed, self.batch);
-                        let partition_ns = t0.elapsed().as_nanos() as u64;
-                        let t1 = Instant::now();
-                        let locals = buffers
-                            .iter()
-                            .map(|buf| {
-                                let mut s = ThresholdSketch::new(params, cfg.seed);
-                                s.update_batch(buf);
-                                s
-                            })
-                            .collect();
-                        (locals, partition_ns, t1.elapsed().as_nanos() as u64)
-                    }
-                }
-            }
-        };
-        let per_machine: Vec<SpaceReport> = locals.iter().map(|s| s.space_report()).collect();
+    /// Execute the **dynamic** pipeline on a signed update stream:
+    /// partition the updates in one batched pass (deletes co-located
+    /// with their inserts), build one [`DynamicSketch`] per shard
+    /// concurrently, reduce, recover the densest decodable level, and
+    /// solve.
+    ///
+    /// The dynamic sketch is linear, so the determinism contract is
+    /// exact: for any thread count, batch size or fan-in, the merged
+    /// sketch is bit-identical to
+    /// [`dynamic_distributed_k_cover`](crate::dynamic_distributed_k_cover)'s
+    /// — and to a single-machine build.
+    pub fn run_dynamic(&self, stream: &dyn DynamicEdgeStream) -> RunReport {
+        self.execute::<DynamicSketch>(stream)
+    }
 
-        let t2 = Instant::now();
-        let (merged, rounds) = tree_reduce_with(locals, self.fan_in, self.ship);
-        let trace = bucket_greedy_k_cover(&merged.csr_view(), cfg.k);
-        let family = trace.family();
-        let reduce_solve_ns = t2.elapsed().as_nanos() as u64;
-
-        ParallelResult {
-            estimated_coverage: merged.estimate_coverage(&family),
-            merged_edges: merged.edges_stored(),
-            per_machine,
-            rounds,
-            threads_used: self.workers(cfg.machines),
-            partition_ns,
-            map_ns,
-            reduce_solve_ns,
-            family,
-        }
+    /// The pipeline with its map step on this runner's threads.
+    fn execute<S: ShardSketch>(&self, stream: &S::Stream<'_>) -> RunReport {
+        let seed = self.cfg.seed;
+        let built = run_pipeline::<S, Infallible>(
+            stream,
+            &self.cfg,
+            self.batch,
+            self.fan_in,
+            |shards, params| {
+                let locals =
+                    self.map_buffers_resilient(shards, |items| S::build(params, seed, items));
+                Ok(Mapped::in_process(locals))
+            },
+        );
+        let Ok(report) = built;
+        report
     }
 
     /// Run `build` once per shard buffer, at most `self.threads` at a
@@ -455,102 +202,6 @@ impl ParallelRunner {
         }
     }
 
-    /// Map phase: build one sketch per shard buffer.
-    fn map_sketches(
-        &self,
-        buffers: &[Vec<Edge>],
-        params: SketchParams,
-        seed: u64,
-    ) -> Vec<ThresholdSketch> {
-        self.map_buffers_resilient(buffers, |buf| {
-            let mut s = ThresholdSketch::new(params, seed);
-            s.update_batch(buf);
-            s
-        })
-    }
-
-    /// Execute the **dynamic** pipeline on a signed update stream:
-    /// partition the updates in one batched pass (deletes co-located
-    /// with their inserts), build one [`DynamicSketch`] per shard
-    /// concurrently, tree-reduce through the same generic
-    /// [`tree_reduce_with`] path as the insertion-only executor, recover
-    /// the densest decodable level, and solve.
-    ///
-    /// The dynamic sketch is linear, so the determinism contract is
-    /// exact: for any thread count, batch size, fan-in, or ship format,
-    /// the merged sketch is bit-identical to
-    /// [`dynamic_distributed_k_cover`](crate::runner::dynamic_distributed_k_cover)'s
-    /// — and to a single-machine build.
-    pub fn run_dynamic(&self, stream: &dyn DynamicEdgeStream) -> DynamicParallelResult {
-        let cfg = &self.cfg;
-        let params = cfg.dynamic_sketch_params(stream.num_sets());
-
-        let (locals, partition_ns, map_ns) = match self.ingest {
-            IngestMode::TwoBarrier => {
-                let t0 = Instant::now();
-                let buffers = partition_updates(stream, cfg.machines, cfg.shard_seed(), self.batch);
-                let partition_ns = t0.elapsed().as_nanos() as u64;
-                let t1 = Instant::now();
-                let locals = self.map_buffers_resilient(&buffers, |buf: &[SignedEdge]| {
-                    let mut s = DynamicSketch::new(params, cfg.seed);
-                    s.update_batch(buf);
-                    s
-                });
-                (locals, partition_ns, t1.elapsed().as_nanos() as u64)
-            }
-            IngestMode::Pipelined => {
-                let (machines, shard_seed) = (cfg.machines, cfg.shard_seed());
-                let piped = self.pipelined_map(
-                    machines,
-                    |f| stream.for_each_update_batch(self.batch, f),
-                    |u: SignedEdge| shard_of_edge(u.edge, machines, shard_seed),
-                    || DynamicSketch::new(params, cfg.seed),
-                    |s: &mut DynamicSketch, chunk: &[SignedEdge]| s.update_batch(chunk),
-                );
-                match piped {
-                    Ok(r) => r,
-                    Err(_) => {
-                        // Panic degradation: serial rebuild, identical
-                        // output (the dynamic sketch is linear).
-                        let t0 = Instant::now();
-                        let buffers = partition_updates(stream, machines, shard_seed, self.batch);
-                        let partition_ns = t0.elapsed().as_nanos() as u64;
-                        let t1 = Instant::now();
-                        let locals = buffers
-                            .iter()
-                            .map(|buf| {
-                                let mut s = DynamicSketch::new(params, cfg.seed);
-                                s.update_batch(buf);
-                                s
-                            })
-                            .collect();
-                        (locals, partition_ns, t1.elapsed().as_nanos() as u64)
-                    }
-                }
-            }
-        };
-        let per_machine: Vec<SpaceReport> = locals.iter().map(|s| s.space_report()).collect();
-
-        let t2 = Instant::now();
-        let (merged, rounds) = tree_reduce_with(locals, self.fan_in, self.ship);
-        let (family, estimated_coverage, sample) = crate::runner::recover_and_solve(&merged, cfg.k);
-        let reduce_solve_ns = t2.elapsed().as_nanos() as u64;
-
-        DynamicParallelResult {
-            estimated_coverage,
-            per_machine,
-            rounds,
-            threads_used: self.workers(cfg.machines),
-            sample_level: sample.level,
-            sampling_p: sample.sampling_p,
-            recovered_edges: sample.edges.len(),
-            partition_ns,
-            map_ns,
-            reduce_solve_ns,
-            family,
-        }
-    }
-
     /// Build a multi-guess [`SketchBank`] (Algorithm 5's per-guess
     /// sketches) in parallel: each shard's bank is built concurrently
     /// from its buffer — through the bank's shared-hash batched path
@@ -562,42 +213,14 @@ impl ParallelRunner {
     /// under true concurrency.
     pub fn build_bank(&self, guesses: &[SketchParams], stream: &dyn EdgeStream) -> SketchBank {
         let cfg = &self.cfg;
-        let locals = match self.ingest {
-            IngestMode::TwoBarrier => {
-                let buffers = partition_edges(stream, cfg.machines, cfg.shard_seed(), self.batch);
-                self.map_buffers_resilient(&buffers, |buf| {
-                    let mut bank = SketchBank::new(guesses.iter().copied(), cfg.seed);
-                    bank.update_batch(buf);
-                    bank
-                })
-            }
-            IngestMode::Pipelined => {
-                let (machines, shard_seed) = (cfg.machines, cfg.shard_seed());
-                let piped = self.pipelined_map(
-                    machines,
-                    |f| stream.for_each_batch(self.batch, f),
-                    |e: Edge| shard_of_edge(e, machines, shard_seed),
-                    || SketchBank::new(guesses.iter().copied(), cfg.seed),
-                    |bank: &mut SketchBank, chunk: &[Edge]| bank.update_batch(chunk),
-                );
-                match piped {
-                    Ok((locals, _, _)) => locals,
-                    Err(_) => {
-                        // Panic degradation: serial rebuild per shard.
-                        let buffers = partition_edges(stream, machines, shard_seed, self.batch);
-                        buffers
-                            .iter()
-                            .map(|buf| {
-                                let mut bank = SketchBank::new(guesses.iter().copied(), cfg.seed);
-                                bank.update_batch(buf);
-                                bank
-                            })
-                            .collect()
-                    }
-                }
-            }
-        };
-        let mut banks = locals.into_iter();
+        let buffers = partition_edges(stream, cfg.machines, cfg.shard_seed(), self.batch);
+        let mut banks = self
+            .map_buffers_resilient(&buffers, |buf| {
+                let mut bank = SketchBank::new(guesses.iter().copied(), cfg.seed);
+                bank.update_batch(buf);
+                bank
+            })
+            .into_iter();
         let mut acc = banks.next().expect("at least one machine");
         for bank in banks {
             acc.merge_from(&bank);
@@ -662,7 +285,7 @@ pub fn partition_updates(
 mod tests {
     use super::*;
     use crate::partition::ShardedStream;
-    use crate::runner::distributed_k_cover;
+    use crate::pipeline::distributed_k_cover;
     use coverage_data::{planted_k_cover, uniform_instance, zipf_instance};
     use coverage_sketch::SketchSizing;
     use coverage_stream::{ArrivalOrder, VecStream};
@@ -706,36 +329,19 @@ mod tests {
                     );
                     assert_eq!(par.merged_edges, seq.merged_edges);
                     assert_eq!(par.per_machine.len(), machines);
-                    assert_eq!(par.threads_used, threads.min(machines));
                 }
             }
         }
     }
 
     #[test]
-    fn threads_used_reports_actual_spawn_count() {
+    fn workers_count_actual_spawns() {
         // 7 shards on 5 requested threads chunk into ceil(7/5)=2 shards
         // per worker, i.e. only 4 workers actually spawn.
-        let stream = workload();
         let cfg = DistConfig::new(7, 4, 0.3, 7).with_sizing(SketchSizing::Budget(1_000));
-        let res = ParallelRunner::new(cfg, 5).run(&stream);
-        assert_eq!(res.threads_used, 4);
+        assert_eq!(ParallelRunner::new(cfg, 5).workers(7), 4);
         // Requesting more threads than shards uses one per shard.
-        let res = ParallelRunner::new(cfg, 64).run(&stream);
-        assert_eq!(res.threads_used, 7);
-    }
-
-    #[test]
-    fn wire_json_ship_format_matches_in_memory() {
-        let stream = workload();
-        let cfg = DistConfig::new(6, 4, 0.3, 19).with_sizing(SketchSizing::Budget(1_500));
-        let mem = ParallelRunner::new(cfg, 2).run(&stream);
-        let json = ParallelRunner::new(cfg, 2)
-            .with_ship_format(ShipFormat::Json)
-            .run(&stream);
-        assert_eq!(mem.family, json.family);
-        assert_eq!(mem.merged_edges, json.merged_edges);
-        assert_eq!(mem.rounds.total_words(), json.rounds.total_words());
+        assert_eq!(ParallelRunner::new(cfg, 64).workers(7), 7);
     }
 
     #[test]
@@ -803,71 +409,13 @@ mod tests {
     }
 
     #[test]
-    fn pipelined_equals_two_barrier_insert_only() {
-        let stream = workload();
-        let cfg = DistConfig::new(6, 4, 0.3, 11).with_sizing(SketchSizing::Budget(2_000));
-        let barrier = ParallelRunner::new(cfg, 3)
-            .with_ingest_mode(IngestMode::TwoBarrier)
-            .run(&stream);
-        for threads in [1usize, 2, 8] {
-            for batch in [1usize, 100, DEFAULT_BATCH] {
-                let piped = ParallelRunner::new(cfg, threads)
-                    .with_ingest_mode(IngestMode::Pipelined)
-                    .with_batch(batch)
-                    .run(&stream);
-                assert_eq!(
-                    piped.family, barrier.family,
-                    "threads={threads} batch={batch}"
-                );
-                assert_eq!(piped.merged_edges, barrier.merged_edges);
-            }
-        }
-    }
-
-    #[test]
-    fn pipelined_equals_two_barrier_dynamic() {
-        let w = churn_stream();
-        let cfg = DistConfig::new(5, 4, 0.3, 17).with_sizing(SketchSizing::Budget(1_500));
-        let barrier = ParallelRunner::new(cfg, 3)
-            .with_ingest_mode(IngestMode::TwoBarrier)
-            .run_dynamic(&w.stream);
-        for threads in [1usize, 2, 8] {
-            let piped = ParallelRunner::new(cfg, threads)
-                .with_ingest_mode(IngestMode::Pipelined)
-                .run_dynamic(&w.stream);
-            assert_eq!(piped.family, barrier.family, "threads={threads}");
-            assert_eq!(piped.sample_level, barrier.sample_level);
-            assert_eq!(piped.recovered_edges, barrier.recovered_edges);
-        }
-    }
-
-    #[test]
-    fn pipelined_bank_equals_two_barrier_bank() {
-        let stream = workload();
-        let guesses = [
-            SketchParams::with_budget(40, 2, 0.4, 400),
-            SketchParams::with_budget(40, 4, 0.4, 900),
-        ];
-        let cfg = DistConfig::new(6, 4, 0.3, 13).with_sizing(SketchSizing::Budget(1_000));
-        let barrier = ParallelRunner::new(cfg, 3)
-            .with_ingest_mode(IngestMode::TwoBarrier)
-            .build_bank(&guesses, &stream);
-        let piped = ParallelRunner::new(cfg, 3)
-            .with_ingest_mode(IngestMode::Pipelined)
-            .build_bank(&guesses, &stream);
-        for (a, b) in barrier.sketches().iter().zip(piped.sketches()) {
-            assert_eq!(a.canonical_content(), b.canonical_content());
-        }
-    }
-
-    #[test]
-    fn pipelined_handles_empty_and_tiny_streams() {
+    fn empty_and_tiny_streams_run() {
         let cfg = DistConfig::new(4, 2, 0.3, 7).with_sizing(SketchSizing::Budget(500));
         let empty = VecStream::new(8, Vec::new());
         let res = ParallelRunner::new(cfg, 2).run(&empty);
         assert!(res.family.is_empty());
         assert_eq!(res.merged_edges, 0);
-        // One edge across 4 shards: three workers drain empty channels.
+        // One edge across 4 shards: three shards stay empty.
         let one = VecStream::new(8, vec![Edge::new(0u32, 1u64)]);
         let res = ParallelRunner::new(cfg, 4).run(&one);
         assert_eq!(res.merged_edges, 1);
@@ -917,7 +465,7 @@ mod tests {
 
     #[test]
     fn dynamic_parallel_equals_dynamic_serial() {
-        use crate::runner::dynamic_distributed_k_cover;
+        use crate::pipeline::dynamic_distributed_k_cover;
         let w = churn_stream();
         for machines in [1usize, 3, 6] {
             let cfg =
@@ -929,24 +477,11 @@ mod tests {
                     par.family, serial.family,
                     "machines={machines} threads={threads}"
                 );
-                assert_eq!(par.sample_level, serial.sample_level);
-                assert_eq!(par.recovered_edges, serial.recovered_edges);
+                assert_eq!(par.sample, serial.sample);
+                assert_eq!(par.merged_edges, serial.merged_edges);
                 assert_eq!(par.per_machine.len(), machines);
             }
         }
-    }
-
-    #[test]
-    fn dynamic_wire_json_ship_matches_in_memory() {
-        let w = churn_stream();
-        let cfg = DistConfig::new(4, 4, 0.3, 19).with_sizing(SketchSizing::Budget(1_200));
-        let mem = ParallelRunner::new(cfg, 2).run_dynamic(&w.stream);
-        let json = ParallelRunner::new(cfg, 2)
-            .with_ship_format(ShipFormat::Json)
-            .run_dynamic(&w.stream);
-        assert_eq!(mem.family, json.family);
-        assert_eq!(mem.sample_level, json.sample_level);
-        assert_eq!(mem.rounds.total_words(), json.rounds.total_words());
     }
 
     #[test]

@@ -30,16 +30,18 @@
 //!
 //! The parent sends one *job* (a shard of edges or signed updates plus
 //! the sketch parameters) and the worker answers with one *reply*
-//! carrying its local sketch's snapshot, encoded per the job's requested
-//! [`ShipFormat`] (binary frames in deployment; JSON kept for
-//! wire-fidelity comparisons). A [`Message::Heartbeat`] is echoed back
+//! carrying its local sketch's snapshot as a binary `CVSK` frame
+//! (`coverage_sketch::wire`). Job and reply payloads keep a one-byte
+//! ship code that always holds the binary code; a frame carrying any
+//! other code is a typed [`WireError::Malformed`] error. A
+//! [`Message::Heartbeat`] is echoed back
 //! verbatim — the parent's liveness/version probe. A
 //! [`Message::Shutdown`] — or simply closing the pipe — ends the worker.
 //! Jobs carry an optional [`Fault`] for deterministic fault injection:
 //! the worker executes it (crash without replying, hang forever, delay,
 //! or corrupt its reply frame), and the parent observes each through a
 //! different detector — EOF, the deadline reaper, nothing, or the frame
-//! checksum (see `runner.rs`).
+//! checksum (see `net/listener.rs`).
 
 use std::io::{Read, Write};
 
@@ -76,8 +78,9 @@ const KIND_CHUNK_START_DYNAMIC: u8 = 8;
 const KIND_JOB_CHUNK: u8 = 9;
 const KIND_CHUNK_ACK: u8 = 10;
 
+/// The ship code every job and reply payload carries: binary snapshot
+/// frames. Decoders reject any other code as a typed error.
 const SHIP_BINARY: u8 = 0;
-const SHIP_JSON: u8 = 1;
 
 const FAULT_NONE: u8 = 0;
 const FAULT_CRASH: u8 = 1;
@@ -135,7 +138,8 @@ pub enum Message {
         params: SketchParams,
         /// Shared hash seed (workers must agree to merge).
         seed: u64,
-        /// How the reply snapshot travels back.
+        /// How the reply snapshot travels back. Always encoded as the
+        /// binary ship code, and decoded as [`ShipFormat::Binary`].
         ship: ShipFormat,
         /// Deterministic fault injection: the worker executes this
         /// fault instead of (or around) replying normally.
@@ -151,7 +155,8 @@ pub enum Message {
         params: DynamicSketchParams,
         /// Shared hash seed (workers must agree to merge).
         seed: u64,
-        /// How the reply snapshot travels back.
+        /// How the reply snapshot travels back. Always encoded as the
+        /// binary ship code, and decoded as [`ShipFormat::Binary`].
         ship: ShipFormat,
         /// Deterministic fault injection: the worker executes this
         /// fault instead of (or around) replying normally.
@@ -165,15 +170,11 @@ pub enum Message {
     ReplySketch {
         /// The worker's local snapshot.
         snapshot: SketchSnapshot,
-        /// The encoding it traveled in.
-        ship: ShipFormat,
     },
     /// Worker → parent: the local dynamic sketch's snapshot.
     ReplyDynamic {
         /// The worker's local snapshot.
         snapshot: DynamicSnapshot,
-        /// The encoding it traveled in.
-        ship: ShipFormat,
     },
     /// Liveness/version probe. The parent sends it; a live,
     /// version-compatible worker echoes the same nonce back. An
@@ -198,8 +199,6 @@ pub enum Message {
         params: SketchParams,
         /// Shared hash seed (workers must agree to merge).
         seed: u64,
-        /// How the reply snapshot travels back.
-        ship: ShipFormat,
         /// Deterministic **worker** fault, executed when the last chunk
         /// has been ingested (network faults never ride in frames).
         fault: Option<Fault>,
@@ -217,8 +216,6 @@ pub enum Message {
         params: DynamicSketchParams,
         /// Shared hash seed (workers must agree to merge).
         seed: u64,
-        /// How the reply snapshot travels back.
-        ship: ShipFormat,
         /// Deterministic worker fault, executed at stream completion.
         fault: Option<Fault>,
         /// Update-batch size (parity with the in-process executors).
@@ -314,21 +311,26 @@ fn get_fault(r: &mut WireReader<'_>) -> Result<Option<Fault>, ProtoError> {
     })
 }
 
-fn put_ship(w: &mut WireWriter, ship: ShipFormat) {
-    // In-memory shipping cannot cross a pipe; the runner maps it to
-    // binary before dispatch, so only two codes exist on the wire.
-    w.put_u8(match ship {
-        ShipFormat::Json => SHIP_JSON,
-        _ => SHIP_BINARY,
-    });
+/// Read a payload's ship code, which must be the binary one.
+fn get_ship(r: &mut WireReader<'_>) -> Result<(), ProtoError> {
+    match r.get_u8()? {
+        SHIP_BINARY => Ok(()),
+        _ => Err(WireError::Malformed("ship code is not binary").into()),
+    }
 }
 
-fn get_ship(r: &mut WireReader<'_>) -> Result<ShipFormat, ProtoError> {
-    match r.get_u8()? {
-        SHIP_BINARY => Ok(ShipFormat::Binary),
-        SHIP_JSON => Ok(ShipFormat::Json),
-        _ => Err(WireError::Malformed("unknown ship format code").into()),
-    }
+/// Write a reply's snapshot frame behind the binary ship code.
+fn put_frame(w: &mut WireWriter, frame: &[u8]) {
+    w.put_u8(SHIP_BINARY);
+    w.put_varint(frame.len() as u64);
+    w.put_bytes(frame);
+}
+
+/// Read a reply's ship code and the snapshot frame behind it.
+fn get_frame<'a>(r: &mut WireReader<'a>) -> Result<&'a [u8], ProtoError> {
+    get_ship(r)?;
+    let len = r.get_len()?;
+    Ok(r.get_bytes(len)?)
 }
 
 fn put_base_params(w: &mut WireWriter, p: &SketchParams) {
@@ -368,14 +370,14 @@ fn encode_payload(msg: &Message) -> (u8, Vec<u8>) {
         Message::JobSketch {
             params,
             seed,
-            ship,
             fault,
             batch,
             edges,
+            ..
         } => {
             put_base_params(&mut w, params);
             w.put_u64(*seed);
-            put_ship(&mut w, *ship);
+            w.put_u8(SHIP_BINARY);
             put_fault(&mut w, fault);
             w.put_varint(*batch as u64);
             w.put_varint(edges.len() as u64);
@@ -388,17 +390,17 @@ fn encode_payload(msg: &Message) -> (u8, Vec<u8>) {
         Message::JobDynamic {
             params,
             seed,
-            ship,
             fault,
             batch,
             updates,
+            ..
         } => {
             put_base_params(&mut w, &params.base);
             w.put_varint(params.levels as u64);
             w.put_varint(params.rows as u64);
             w.put_varint(params.row_len as u64);
             w.put_u64(*seed);
-            put_ship(&mut w, *ship);
+            w.put_u8(SHIP_BINARY);
             put_fault(&mut w, fault);
             w.put_varint(*batch as u64);
             w.put_varint(updates.len() as u64);
@@ -409,24 +411,12 @@ fn encode_payload(msg: &Message) -> (u8, Vec<u8>) {
             }
             (KIND_JOB_DYNAMIC, w.into_bytes())
         }
-        Message::ReplySketch { snapshot, ship } => {
-            put_ship(&mut w, *ship);
-            let encoded = match ship {
-                ShipFormat::Json => snapshot.to_json().into_bytes(),
-                _ => snapshot.encode_binary(),
-            };
-            w.put_varint(encoded.len() as u64);
-            w.put_bytes(&encoded);
+        Message::ReplySketch { snapshot } => {
+            put_frame(&mut w, &snapshot.encode_binary());
             (KIND_REPLY_SKETCH, w.into_bytes())
         }
-        Message::ReplyDynamic { snapshot, ship } => {
-            put_ship(&mut w, *ship);
-            let encoded = match ship {
-                ShipFormat::Json => snapshot.to_json().into_bytes(),
-                _ => snapshot.encode_binary(),
-            };
-            w.put_varint(encoded.len() as u64);
-            w.put_bytes(&encoded);
+        Message::ReplyDynamic { snapshot } => {
+            put_frame(&mut w, &snapshot.encode_binary());
             (KIND_REPLY_DYNAMIC, w.into_bytes())
         }
         Message::Heartbeat { nonce } => {
@@ -438,7 +428,6 @@ fn encode_payload(msg: &Message) -> (u8, Vec<u8>) {
             chunks,
             params,
             seed,
-            ship,
             fault,
             batch,
         } => {
@@ -446,7 +435,7 @@ fn encode_payload(msg: &Message) -> (u8, Vec<u8>) {
             w.put_varint(*chunks as u64);
             put_base_params(&mut w, params);
             w.put_u64(*seed);
-            put_ship(&mut w, *ship);
+            w.put_u8(SHIP_BINARY);
             put_fault(&mut w, fault);
             w.put_varint(*batch as u64);
             (KIND_CHUNK_START_SKETCH, w.into_bytes())
@@ -456,7 +445,6 @@ fn encode_payload(msg: &Message) -> (u8, Vec<u8>) {
             chunks,
             params,
             seed,
-            ship,
             fault,
             batch,
         } => {
@@ -467,7 +455,7 @@ fn encode_payload(msg: &Message) -> (u8, Vec<u8>) {
             w.put_varint(params.rows as u64);
             w.put_varint(params.row_len as u64);
             w.put_u64(*seed);
-            put_ship(&mut w, *ship);
+            w.put_u8(SHIP_BINARY);
             put_fault(&mut w, fault);
             w.put_varint(*batch as u64);
             (KIND_CHUNK_START_DYNAMIC, w.into_bytes())
@@ -525,7 +513,7 @@ fn decode_payload(kind: u8, payload: &[u8]) -> Result<Message, ProtoError> {
         KIND_JOB_SKETCH => {
             let params = get_base_params(&mut r)?;
             let seed = r.get_u64()?;
-            let ship = get_ship(&mut r)?;
+            get_ship(&mut r)?;
             let fault = get_fault(&mut r)?;
             let batch = r.get_len()?;
             let n = r.get_len()?;
@@ -541,7 +529,7 @@ fn decode_payload(kind: u8, payload: &[u8]) -> Result<Message, ProtoError> {
             Message::JobSketch {
                 params,
                 seed,
-                ship,
+                ship: ShipFormat::Binary,
                 fault,
                 batch,
                 edges,
@@ -559,7 +547,7 @@ fn decode_payload(kind: u8, payload: &[u8]) -> Result<Message, ProtoError> {
                 row_len,
             };
             let seed = r.get_u64()?;
-            let ship = get_ship(&mut r)?;
+            get_ship(&mut r)?;
             let fault = get_fault(&mut r)?;
             let batch = r.get_len()?;
             let n = r.get_len()?;
@@ -581,42 +569,18 @@ fn decode_payload(kind: u8, payload: &[u8]) -> Result<Message, ProtoError> {
             Message::JobDynamic {
                 params,
                 seed,
-                ship,
+                ship: ShipFormat::Binary,
                 fault,
                 batch,
                 updates,
             }
         }
-        KIND_REPLY_SKETCH => {
-            let ship = get_ship(&mut r)?;
-            let len = r.get_len()?;
-            let encoded = r.get_bytes(len)?;
-            let snapshot = match ship {
-                ShipFormat::Json => {
-                    let text = std::str::from_utf8(encoded)
-                        .map_err(|_| WireError::Malformed("reply JSON is not UTF-8"))?;
-                    SketchSnapshot::from_json(text)
-                        .map_err(|_| WireError::Malformed("reply JSON does not parse"))?
-                }
-                _ => SketchSnapshot::decode_binary(encoded)?,
-            };
-            Message::ReplySketch { snapshot, ship }
-        }
-        KIND_REPLY_DYNAMIC => {
-            let ship = get_ship(&mut r)?;
-            let len = r.get_len()?;
-            let encoded = r.get_bytes(len)?;
-            let snapshot = match ship {
-                ShipFormat::Json => {
-                    let text = std::str::from_utf8(encoded)
-                        .map_err(|_| WireError::Malformed("reply JSON is not UTF-8"))?;
-                    DynamicSnapshot::from_json(text)
-                        .map_err(|_| WireError::Malformed("reply JSON does not parse"))?
-                }
-                _ => DynamicSnapshot::decode_binary(encoded)?,
-            };
-            Message::ReplyDynamic { snapshot, ship }
-        }
+        KIND_REPLY_SKETCH => Message::ReplySketch {
+            snapshot: SketchSnapshot::decode_binary(get_frame(&mut r)?)?,
+        },
+        KIND_REPLY_DYNAMIC => Message::ReplyDynamic {
+            snapshot: DynamicSnapshot::decode_binary(get_frame(&mut r)?)?,
+        },
         KIND_HEARTBEAT => Message::Heartbeat {
             nonce: r.get_u64()?,
         },
@@ -625,7 +589,7 @@ fn decode_payload(kind: u8, payload: &[u8]) -> Result<Message, ProtoError> {
             let chunks = get_u32v(&mut r)?;
             let params = get_base_params(&mut r)?;
             let seed = r.get_u64()?;
-            let ship = get_ship(&mut r)?;
+            get_ship(&mut r)?;
             let fault = get_fault(&mut r)?;
             let batch = r.get_len()?;
             Message::ChunkStartSketch {
@@ -633,7 +597,6 @@ fn decode_payload(kind: u8, payload: &[u8]) -> Result<Message, ProtoError> {
                 chunks,
                 params,
                 seed,
-                ship,
                 fault,
                 batch,
             }
@@ -649,7 +612,7 @@ fn decode_payload(kind: u8, payload: &[u8]) -> Result<Message, ProtoError> {
                 row_len: r.get_len()?,
             };
             let seed = r.get_u64()?;
-            let ship = get_ship(&mut r)?;
+            get_ship(&mut r)?;
             let fault = get_fault(&mut r)?;
             let batch = r.get_len()?;
             Message::ChunkStartDynamic {
@@ -657,7 +620,6 @@ fn decode_payload(kind: u8, payload: &[u8]) -> Result<Message, ProtoError> {
                 chunks,
                 params,
                 seed,
-                ship,
                 fault,
                 batch,
             }
@@ -910,7 +872,7 @@ mod tests {
         let msg = Message::JobDynamic {
             params,
             seed: 7,
-            ship: ShipFormat::Json,
+            ship: ShipFormat::Binary,
             fault: Some(Fault::Crash),
             batch: 512,
             updates: vec![
@@ -928,7 +890,7 @@ mod tests {
             } => {
                 assert_eq!(p, params);
                 assert_eq!(fault, Some(Fault::Crash));
-                assert_eq!(ship, ShipFormat::Json);
+                assert_eq!(ship, ShipFormat::Binary);
                 assert_eq!(updates.len(), 2);
                 assert!(updates[0].sign() > 0);
                 assert!(updates[1].sign() < 0);
@@ -938,20 +900,70 @@ mod tests {
     }
 
     #[test]
-    fn replies_roundtrip_in_both_encodings() {
+    fn replies_roundtrip() {
         let params = SketchParams::with_budget(4, 2, 0.5, 80);
         let edges: Vec<Edge> = (0..200u64).map(|e| Edge::new((e % 4) as u32, e)).collect();
         let sketch = ThresholdSketch::from_stream(params, 11, &VecStream::new(4, edges));
         let snapshot = SketchSnapshot::of(&sketch);
-        for ship in [ShipFormat::Binary, ShipFormat::Json] {
-            let msg = Message::ReplySketch {
-                snapshot: snapshot.clone(),
-                ship,
-            };
-            match roundtrip(&msg) {
-                Message::ReplySketch { snapshot: back, .. } => assert_eq!(back, snapshot),
-                other => panic!("wrong message: {other:?}"),
-            }
+        let msg = Message::ReplySketch {
+            snapshot: snapshot.clone(),
+        };
+        match roundtrip(&msg) {
+            Message::ReplySketch { snapshot: back } => assert_eq!(back, snapshot),
+            other => panic!("wrong message: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_json_ship_code_is_a_typed_wire_error() {
+        // Rewrite the ship code of otherwise valid job, chunk-start and
+        // reply frames to 1 (the JSON code) and re-checksum: each must
+        // decode as a typed error, never as a message.
+        let params = SketchParams::with_budget(4, 2, 0.5, 80);
+        let edges: Vec<Edge> = (0..50u64).map(|e| Edge::new((e % 4) as u32, e)).collect();
+        let sketch = ThresholdSketch::from_stream(params, 11, &VecStream::new(4, edges.clone()));
+        let frames = [
+            Message::JobSketch {
+                params,
+                seed: 11,
+                ship: ShipFormat::Binary,
+                fault: None,
+                batch: 64,
+                edges,
+            },
+            Message::ChunkStartSketch {
+                shard: 0,
+                chunks: 1,
+                params,
+                seed: 11,
+                fault: None,
+                batch: 64,
+            },
+            Message::ReplySketch {
+                snapshot: SketchSnapshot::of(&sketch),
+            },
+        ];
+        // Offset of the ship byte in each payload: job and chunk-start
+        // payloads put it after the params and the seed, replies first.
+        let mut params_len = WireWriter::new();
+        put_base_params(&mut params_len, &params);
+        let params_len = params_len.into_bytes().len();
+        let offsets = [params_len + 8, 2 + params_len + 8, 0];
+        for (msg, at) in frames.iter().zip(offsets) {
+            let mut buf = Vec::new();
+            write_message(&mut buf, msg).unwrap();
+            assert_eq!(buf[16 + at], SHIP_BINARY, "{msg:?}");
+            buf[16 + at] = 1;
+            let body_len = buf.len() - 8;
+            let sum = checksum64(&buf[..body_len]).to_le_bytes();
+            buf[body_len..].copy_from_slice(&sum);
+            assert!(
+                matches!(
+                    read_message(&mut &buf[..]),
+                    Err(ProtoError::Wire(WireError::Malformed(_)))
+                ),
+                "{msg:?}"
+            );
         }
     }
 
@@ -975,7 +987,6 @@ mod tests {
             chunks: 7,
             params: SketchParams::with_budget(6, 2, 0.5, 100),
             seed: 42,
-            ship: ShipFormat::Binary,
             fault: Some(Fault::Delay(5)),
             batch: 4096,
         };
@@ -999,7 +1010,6 @@ mod tests {
             chunks: 2,
             params: DynamicSketchParams::new(SketchParams::with_budget(3, 1, 0.5, 50)),
             seed: 9,
-            ship: ShipFormat::Json,
             fault: None,
             batch: 64,
         };
@@ -1110,14 +1120,13 @@ mod tests {
             Message::JobDynamic {
                 params: DynamicSketchParams::new(params),
                 seed: 7,
-                ship: ShipFormat::Json,
+                ship: ShipFormat::Binary,
                 fault: None,
                 batch: 32,
                 updates: vec![SignedEdge::insert(Edge::new(1u32, 2u64))],
             },
             Message::ReplySketch {
                 snapshot: SketchSnapshot::of(&sketch),
-                ship: ShipFormat::Binary,
             },
             Message::Heartbeat { nonce: u64::MAX },
             Message::ChunkStartSketch {
@@ -1125,7 +1134,6 @@ mod tests {
                 chunks: 3,
                 params,
                 seed: 1,
-                ship: ShipFormat::Binary,
                 fault: None,
                 batch: 16,
             },

@@ -2,10 +2,9 @@
 //! communication accounting.
 //!
 //! The companion paper (`[10]`) cares about *rounds* and *communication*,
-//! the costs MapReduce charges for. A flat fold (`merge_all`) is one
-//! reducer reading `w` sketches — fine in a simulation, but a real
-//! cluster bounds reducer fan-in. This module simulates the standard
-//! **merge tree**: machines ship [`SketchSnapshot`]s to group leaders,
+//! the costs MapReduce charges for. A flat fold is one reducer reading
+//! `w` sketches — fine in a simulation, but a real cluster bounds
+//! reducer fan-in. This module simulates the standard **merge tree**: machines ship [`SketchSnapshot`]s to group leaders,
 //! each leader merges its `fan_in` children, and the survivors repeat —
 //! `⌈log_f w⌉` rounds, each shipping at most `Õ(n)` words per machine.
 //!
@@ -23,12 +22,17 @@
 //!   to the canonical min-set-id truncation) and the dynamic
 //!   [`DynamicSketch`] (exactly linear, hence bit-identical under any
 //!   reduction shape);
-//! * the [`Transport`] trait, so *how* a child reaches its leader —
-//!   pointer move, JSON text, or the compact binary frames of
-//!   `coverage_sketch::wire` — is a pluggable seam shared with the
-//!   subprocess executor ([`ProcessRunner`](crate::ProcessRunner)).
-//!   Every transport must round-trip the full logical state, so any
-//!   [`ShipFormat`] yields the identical merged sketch.
+//! * the [`Transport`] trait, so *how* a child reaches its leader — a
+//!   pointer move or the compact binary frames of
+//!   `coverage_sketch::wire` — is a pluggable seam. Every transport
+//!   must round-trip the full logical state, so any [`ShipFormat`]
+//!   yields the identical merged sketch.
+//!
+//! Every executor reduces in memory ([`ShipFormat::InMemory`]): worker
+//! processes ship their snapshots as binary frames over their links,
+//! and the coordinator merges the decoded sketches directly.
+//! [`ShipFormat::Binary`] and [`FaultyTransport`] keep the wire
+//! round-trip inside a reduce tree for wire-fidelity tests.
 
 use std::cell::Cell;
 
@@ -40,9 +44,8 @@ use crate::fault::SplitMix64;
 ///
 /// `merge_from` must be associative (and is commutative for both
 /// implementations here), so the tree's shape cannot change the merged
-/// result; the ship/unship pairs must round-trip the full logical state
-/// so [`ShipFormat::Json`] and [`ShipFormat::Binary`] continuously
-/// exercise wire fidelity.
+/// result; the binary ship/unship pair must round-trip the full logical
+/// state so [`ShipFormat::Binary`] exercises wire fidelity.
 pub trait Composable: Sized {
     /// Merge `other` into `self` (associative).
     fn merge_from(&mut self, other: &Self);
@@ -50,13 +53,6 @@ pub trait Composable: Sized {
     /// Words one wire shipment of this sketch costs (the model-level
     /// [`RoundCost`] accounting unit, independent of encoding).
     fn ship_words(&self) -> u64;
-
-    /// Serialize the full logical state as JSON text.
-    fn ship_json(&self) -> String;
-
-    /// Restore a JSON shipment. Panics on a corrupt payload — a
-    /// reducer must not silently merge garbage.
-    fn unship_json(json: &str) -> Self;
 
     /// Serialize the full logical state as a binary wire frame
     /// (`coverage_sketch::wire`, versioned + checksummed).
@@ -88,16 +84,6 @@ impl Composable for ThresholdSketch {
         2 * self.edges_stored() as u64 + 4 * self.elements_stored() as u64
     }
 
-    fn ship_json(&self) -> String {
-        SketchSnapshot::of(self).to_json()
-    }
-
-    fn unship_json(json: &str) -> Self {
-        SketchSnapshot::from_json(json)
-            .expect("wire snapshot must parse")
-            .restore()
-    }
-
     fn ship_binary(&self) -> Vec<u8> {
         SketchSnapshot::of(self).encode_binary()
     }
@@ -114,16 +100,6 @@ impl Composable for DynamicSketch {
 
     fn ship_words(&self) -> u64 {
         DynamicSketch::ship_words(self)
-    }
-
-    fn ship_json(&self) -> String {
-        DynamicSnapshot::of(self).to_json()
-    }
-
-    fn unship_json(json: &str) -> Self {
-        DynamicSnapshot::from_json(json)
-            .expect("wire snapshot must parse")
-            .restore()
     }
 
     fn ship_binary(&self) -> Vec<u8> {
@@ -149,9 +125,7 @@ pub struct Shipment<S> {
 ///
 /// A transport must be *faithful*: the delivered sketch's logical state
 /// equals the input's, so the reduce tree's result is transport-
-/// independent (property-tested in `tests/wire_equivalence.rs`). The
-/// subprocess executor reuses the same seam: workers ship snapshots over
-/// pipes with the identical binary frames [`BinaryTransport`] uses.
+/// independent (property-tested in `tests/wire_equivalence.rs`).
 pub trait Transport {
     /// Ship one sketch, returning the delivered sketch and its wire cost.
     fn ship<S: Composable>(&self, sketch: S) -> Shipment<S>;
@@ -165,20 +139,6 @@ pub struct Loopback;
 impl Transport for Loopback {
     fn ship<S: Composable>(&self, sketch: S) -> Shipment<S> {
         Shipment { sketch, bytes: 0 }
-    }
-}
-
-/// JSON-text transport: snapshot → JSON string → parse → restore.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct JsonTransport;
-
-impl Transport for JsonTransport {
-    fn ship<S: Composable>(&self, sketch: S) -> Shipment<S> {
-        let json = sketch.ship_json();
-        Shipment {
-            bytes: json.len() as u64,
-            sketch: S::unship_json(&json),
-        }
     }
 }
 
@@ -293,8 +253,7 @@ pub struct RoundCost {
     /// count, identical across every [`ShipFormat`].
     pub words_shipped: u64,
     /// Total *encoded payload* bytes shipped in this round — the actual
-    /// wire cost of the chosen format: JSON text length for
-    /// [`ShipFormat::Json`], binary frame length for
+    /// wire cost of the chosen format: binary frame length for
     /// [`ShipFormat::Binary`], and 0 for [`ShipFormat::InMemory`]
     /// (nothing is encoded; "shipping" is a pointer move).
     pub bytes_shipped: u64,
@@ -347,63 +306,36 @@ impl RoundsReport {
 /// reduction. Merging is shape- and format-independent, so the choice
 /// affects only the fidelity-vs-speed of the *simulation* and the
 /// [`RoundCost::bytes_shipped`] accounting.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ShipFormat {
-    /// Full wire round-trip per ship: snapshot → JSON text → parse →
-    /// restore → merge. Continuously exercises serialization fidelity;
-    /// what [`tree_reduce`] uses.
-    #[default]
-    Json,
     /// Compact binary round-trip per ship: snapshot → versioned,
-    /// checksummed frame → decode → restore → merge. The deployable
-    /// encoding — what the subprocess executor ships over its pipes.
+    /// checksummed frame → decode → restore → merge. The encoding worker
+    /// processes ship their snapshots in.
     Binary,
     /// Direct in-memory merge (a shared-memory reducer, where "shipping"
     /// is a pointer move). Same merges, same word accounting, zero
-    /// `bytes_shipped` — what the parallel executor uses on its hot
-    /// path.
+    /// `bytes_shipped` — what every executor's reduce uses.
     InMemory,
 }
 
-impl ShipFormat {
-    /// Parse a CLI spelling (`json` / `binary` / `memory`).
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "json" => Some(ShipFormat::Json),
-            "binary" | "bin" => Some(ShipFormat::Binary),
-            "memory" | "inmemory" => Some(ShipFormat::InMemory),
-            _ => None,
-        }
-    }
-}
-
-/// Reduce `sketches` with a merge tree of the given fan-in (`≥ 2`).
-///
-/// Every non-leader serializes its sketch through the snapshot wire
-/// format (exactly what a real deployment would ship) and the group
-/// leader merges the restored sketches — so this path also continuously
-/// exercises serialization fidelity. Use [`tree_reduce_with`] to pick a
-/// different [`ShipFormat`]. Generic over [`Composable`]: the same tree
-/// reduces insertion-only and dynamic sketches.
-pub fn tree_reduce<S: Composable>(sketches: Vec<S>, fan_in: usize) -> (S, RoundsReport) {
-    tree_reduce_with(sketches, fan_in, ShipFormat::Json)
-}
-
-/// [`tree_reduce`] with an explicit [`ShipFormat`].
+/// Reduce `sketches` with a merge tree of the given fan-in (`≥ 2`),
+/// shipping every non-leader to its group leader in `format`. Generic
+/// over [`Composable`]: the same tree reduces insertion-only and
+/// dynamic sketches.
 pub fn tree_reduce_with<S: Composable>(
     sketches: Vec<S>,
     fan_in: usize,
     format: ShipFormat,
 ) -> (S, RoundsReport) {
     match format {
-        ShipFormat::Json => tree_reduce_via(sketches, fan_in, &JsonTransport),
         ShipFormat::Binary => tree_reduce_via(sketches, fan_in, &BinaryTransport),
         ShipFormat::InMemory => tree_reduce_via(sketches, fan_in, &Loopback),
     }
 }
 
-/// [`tree_reduce`] over an explicit [`Transport`] — the fully general
-/// seam ([`tree_reduce_with`] is this with a format-chosen transport).
+/// [`tree_reduce_with`] over an explicit [`Transport`] — the fully
+/// general seam ([`tree_reduce_with`] is this with a format-chosen
+/// transport).
 pub fn tree_reduce_via<S: Composable, T: Transport>(
     mut sketches: Vec<S>,
     fan_in: usize,
@@ -484,7 +416,7 @@ mod tests {
     fn tree_equals_single_machine_for_any_fan_in() {
         let (shards, single) = build_shards(9, 150);
         for fan_in in [2usize, 3, 9] {
-            let (merged, report) = tree_reduce(shards.clone(), fan_in);
+            let (merged, report) = tree_reduce_with(shards.clone(), fan_in, ShipFormat::InMemory);
             assert_eq!(
                 keys(&merged),
                 keys(&single),
@@ -502,36 +434,24 @@ mod tests {
     #[test]
     fn ship_formats_agree() {
         let (shards, _) = build_shards(7, 120);
-        let (via_json, json_rounds) = tree_reduce_with(shards.clone(), 3, ShipFormat::Json);
         let (via_binary, bin_rounds) = tree_reduce_with(shards.clone(), 3, ShipFormat::Binary);
         let (in_memory, mem_rounds) = tree_reduce_with(shards, 3, ShipFormat::InMemory);
-        assert_eq!(keys(&via_json), keys(&in_memory));
         assert_eq!(keys(&via_binary), keys(&in_memory));
-        assert_eq!(json_rounds.num_rounds(), mem_rounds.num_rounds());
-        assert_eq!(json_rounds.total_words(), mem_rounds.total_words());
+        assert_eq!(bin_rounds.num_rounds(), mem_rounds.num_rounds());
         assert_eq!(bin_rounds.total_words(), mem_rounds.total_words());
     }
 
     #[test]
     fn bytes_accounting_tracks_the_format() {
         let (shards, _) = build_shards(6, 120);
-        let (_, json_rounds) = tree_reduce_with(shards.clone(), 2, ShipFormat::Json);
         let (_, bin_rounds) = tree_reduce_with(shards.clone(), 2, ShipFormat::Binary);
         let (_, mem_rounds) = tree_reduce_with(shards, 2, ShipFormat::InMemory);
         // In-memory ships no encoded payload at all — 0 by definition.
         assert_eq!(mem_rounds.total_bytes(), 0);
-        // Wire formats report their actual encoded sizes, and the binary
-        // frames are materially smaller than the JSON text.
-        assert!(json_rounds.total_bytes() > 0);
+        // The wire format reports its actual encoded size.
         assert!(bin_rounds.total_bytes() > 0);
-        assert!(
-            bin_rounds.total_bytes() * 2 < json_rounds.total_bytes(),
-            "binary {} vs json {}",
-            bin_rounds.total_bytes(),
-            json_rounds.total_bytes()
-        );
         // Model-word accounting is format-independent.
-        assert_eq!(json_rounds.total_words(), bin_rounds.total_words());
+        assert_eq!(bin_rounds.total_words(), mem_rounds.total_words());
         for r in &mem_rounds.rounds {
             assert_eq!(r.bytes_shipped, 0);
         }
@@ -578,7 +498,7 @@ mod tests {
     #[test]
     fn round_counts_telescope() {
         let (shards, _) = build_shards(8, 100);
-        let (_, report) = tree_reduce(shards, 2);
+        let (_, report) = tree_reduce_with(shards, 2, ShipFormat::InMemory);
         for w in report.rounds.windows(2) {
             assert_eq!(w[0].sketches_out, w[1].sketches_in);
         }
@@ -591,7 +511,7 @@ mod tests {
         let (shards, _) = build_shards(6, 120);
         let params_max = shards[0].params().max_edges() as u64;
         let w = shards.len() as u64;
-        let (_, report) = tree_reduce(shards, 2);
+        let (_, report) = tree_reduce_with(shards, 2, ShipFormat::InMemory);
         // Every shipment is one sketch ≤ budget edges → ≤ 6·budget words.
         assert!(
             report.peak_round_words() <= w * 6 * params_max,
@@ -603,7 +523,7 @@ mod tests {
     #[test]
     fn single_sketch_needs_no_rounds() {
         let (shards, single) = build_shards(1, 80);
-        let (merged, report) = tree_reduce(shards, 2);
+        let (merged, report) = tree_reduce_with(shards, 2, ShipFormat::InMemory);
         assert_eq!(report.num_rounds(), 0);
         assert_eq!(report.total_words(), 0);
         assert_eq!(report.total_bytes(), 0);
@@ -614,28 +534,19 @@ mod tests {
     #[should_panic(expected = "fan-in must be at least 2")]
     fn fan_in_one_rejected() {
         let (shards, _) = build_shards(2, 50);
-        tree_reduce(shards, 1);
+        tree_reduce_with(shards, 1, ShipFormat::InMemory);
     }
 
     #[test]
     fn higher_fan_in_fewer_rounds_same_total() {
         let (shards, _) = build_shards(16, 100);
-        let (_, narrow) = tree_reduce(shards.clone(), 2);
-        let (_, wide) = tree_reduce(shards, 4);
+        let (_, narrow) = tree_reduce_with(shards.clone(), 2, ShipFormat::InMemory);
+        let (_, wide) = tree_reduce_with(shards, 4, ShipFormat::InMemory);
         assert!(narrow.num_rounds() > wide.num_rounds());
         // Total communication is within small factors: every reduction
         // ships w−1 sketches overall regardless of tree shape (sizes vary
         // as merges compact entries).
         let ratio = narrow.total_words() as f64 / wide.total_words().max(1) as f64;
         assert!((0.3..3.0).contains(&ratio), "ratio {ratio}");
-    }
-
-    #[test]
-    fn ship_format_parses_cli_spellings() {
-        assert_eq!(ShipFormat::parse("json"), Some(ShipFormat::Json));
-        assert_eq!(ShipFormat::parse("binary"), Some(ShipFormat::Binary));
-        assert_eq!(ShipFormat::parse("bin"), Some(ShipFormat::Binary));
-        assert_eq!(ShipFormat::parse("memory"), Some(ShipFormat::InMemory));
-        assert_eq!(ShipFormat::parse("carrier-pigeon"), None);
     }
 }

@@ -97,10 +97,10 @@ pub fn worker_loop(input: &mut impl Read, output: &mut impl Write) -> Result<(),
             Message::JobSketch {
                 params,
                 seed,
-                ship,
                 fault,
                 batch,
                 edges,
+                ..
             } => {
                 if !pre_reply_fault(&fault) {
                     // Injected death: leave without replying. The parent
@@ -114,17 +114,16 @@ pub fn worker_loop(input: &mut impl Read, output: &mut impl Write) -> Result<(),
                 }
                 let reply = Message::ReplySketch {
                     snapshot: SketchSnapshot::of(&sketch),
-                    ship,
                 };
                 write_reply(output, &reply, &fault, seed)?;
             }
             Message::JobDynamic {
                 params,
                 seed,
-                ship,
                 fault,
                 batch,
                 updates,
+                ..
             } => {
                 if !pre_reply_fault(&fault) {
                     return Ok(());
@@ -135,7 +134,6 @@ pub fn worker_loop(input: &mut impl Read, output: &mut impl Write) -> Result<(),
                 }
                 let reply = Message::ReplyDynamic {
                     snapshot: DynamicSnapshot::of(&sketch),
-                    ship,
                 };
                 write_reply(output, &reply, &fault, seed)?;
             }
@@ -149,7 +147,6 @@ pub fn worker_loop(input: &mut impl Read, output: &mut impl Write) -> Result<(),
                 chunks,
                 params,
                 seed,
-                ship,
                 fault,
                 batch,
             } => {
@@ -158,7 +155,7 @@ pub fn worker_loop(input: &mut impl Read, output: &mut impl Write) -> Result<(),
                         "chunk stream opened while one is in progress",
                     )));
                 }
-                let build = ChunkedBuild::sketch(shard, chunks, params, seed, ship, fault, batch);
+                let build = ChunkedBuild::sketch(shard, chunks, params, seed, fault, batch);
                 if build.complete() {
                     // Empty shard: reply immediately.
                     if !finish_chunked(output, build)? {
@@ -173,7 +170,6 @@ pub fn worker_loop(input: &mut impl Read, output: &mut impl Write) -> Result<(),
                 chunks,
                 params,
                 seed,
-                ship,
                 fault,
                 batch,
             } => {
@@ -182,7 +178,7 @@ pub fn worker_loop(input: &mut impl Read, output: &mut impl Write) -> Result<(),
                         "chunk stream opened while one is in progress",
                     )));
                 }
-                let build = ChunkedBuild::dynamic(shard, chunks, params, seed, ship, fault, batch);
+                let build = ChunkedBuild::dynamic(shard, chunks, params, seed, fault, batch);
                 if build.complete() {
                     if !finish_chunked(output, build)? {
                         return Ok(());
@@ -436,7 +432,7 @@ mod tests {
             &Message::JobDynamic {
                 params,
                 seed: 19,
-                ship: ShipFormat::Json,
+                ship: ShipFormat::Binary,
                 fault: None,
                 batch: 77,
                 updates: updates.clone(),
@@ -537,16 +533,7 @@ mod tests {
     fn chunked_stream_acks_every_chunk_and_replies_like_a_blob_job() {
         let params = SketchParams::with_budget(5, 2, 0.5, 120);
         let edges = shard_edges(600);
-        let plan = crate::net::chunk::plan_sketch(
-            4,
-            &edges,
-            100,
-            params,
-            33,
-            ShipFormat::Binary,
-            None,
-            128,
-        );
+        let plan = crate::net::chunk::plan_sketch(4, &edges, 100, params, 33, None, 128);
         let mut jobs = Vec::new();
         write_message(&mut jobs, &plan.start).unwrap();
         for chunk in &plan.chunks {
@@ -581,16 +568,7 @@ mod tests {
         let updates: Vec<SignedEdge> = (0..300u64)
             .map(|e| SignedEdge::insert(Edge::new((e % 4) as u32, e)))
             .collect();
-        let plan = crate::net::chunk::plan_dynamic(
-            0,
-            &updates,
-            64,
-            params,
-            19,
-            ShipFormat::Binary,
-            None,
-            77,
-        );
+        let plan = crate::net::chunk::plan_dynamic(0, &updates, 64, params, 19, None, 77);
         let mut jobs = Vec::new();
         write_message(&mut jobs, &plan.start).unwrap();
         for chunk in &plan.chunks {
@@ -625,16 +603,7 @@ mod tests {
         let params = SketchParams::with_budget(3, 1, 0.5, 60);
         // Gap: a chunk stream whose first frame has index 1.
         let mut jobs = Vec::new();
-        let plan = crate::net::chunk::plan_sketch(
-            0,
-            &shard_edges(100),
-            40,
-            params,
-            1,
-            ShipFormat::Binary,
-            None,
-            32,
-        );
+        let plan = crate::net::chunk::plan_sketch(0, &shard_edges(100), 40, params, 1, None, 32);
         write_message(&mut jobs, &plan.start).unwrap();
         write_message(&mut jobs, &plan.chunks[1]).unwrap();
         let mut replies = Vec::new();
@@ -649,7 +618,6 @@ mod tests {
             40,
             params,
             1,
-            ShipFormat::Binary,
             Some(Fault::Crash),
             32,
         );

@@ -49,6 +49,12 @@ fn main() {
         eprintln!("{USAGE}");
         exit(2);
     };
+    if let Some(known) = flags_of(&cmd) {
+        if let Some(bad) = flags.keys().find(|key| !known.contains(&key.as_str())) {
+            eprintln!("unknown flag --{bad} for `{cmd}`\n{USAGE}");
+            exit(2);
+        }
+    }
     match cmd.as_str() {
         "kcover" => cmd_kcover(&flags),
         "setcover" => cmd_setcover(&flags),
@@ -78,22 +84,18 @@ USAGE:
   coverage setcover  --n <sets> --m <elements> --kstar <k*> --lambda <L> [--budget B] [--eps E] [--seed S]
   coverage multipass --n <sets> --m <elements> --kstar <k*> --rounds <r> [--budget B] [--eps E] [--seed S]
   coverage dist      --n <sets> --m <elements> --k <k> --machines <w> [--parallel T] [--budget B] [--seed S]
-                     [--processes P] [--sockets P] [--listen ADDR] [--ship json|binary]
-                     [--ingest pipelined|two-barrier] [--fault-plan SEED:SPEC] [--job-timeout-ms MS]
-                     [--chunk-items N] [--late-worker-ms MS]
-                     # --parallel T: run the parallel sharded executor on T threads
-                     #   (one partition pass + concurrent map + tree reduce);
-                     #   same selected cover as the sequential simulation, faster
-                     # --ingest: how the map phase consumes the stream —
-                     #   pipelined (default; bounded channels, partition
-                     #   overlaps build) or two-barrier (partition fully,
-                     #   then build); the selected cover is identical
-                     # --processes P: run the map phase on P real worker
+                     [--workload W] [--processes P] [--sockets P] [--listen ADDR]
+                     [--fault-plan SEED:SPEC] [--job-timeout-ms MS] [--chunk-items N] [--late-worker-ms MS]
+                     # every executor partitions the stream into w shards,
+                     #   builds one sketch per shard, merges them in memory
+                     #   with a tree reduce and solves; all print the same
+                     #   table and select the same cover. Default: the
+                     #   sequential simulation, one shard after another
+                     # --parallel T: build the shards on T threads
+                     # --processes P: build the shards on P real worker
                      #   subprocesses (this binary re-invoked in a hidden
                      #   `worker` mode, framed binary pipes) with heartbeat
-                     #   liveness and chunked shard streaming; same family again
-                     # --ship: snapshot wire format for the reduce (and the
-                     #   worker pipes); binary is the compact framed codec
+                     #   liveness and chunked shard streaming
                      # --sockets P: like --processes, but the workers dial
                      #   back over loopback TCP (`worker --connect`)
                      # --listen ADDR: socket coordinator without self-spawn —
@@ -109,7 +111,7 @@ USAGE:
                      #   worker is reaped and its shard requeued
                      # --chunk-items N: shard streaming chunk size (items
                      #   per JobChunk frame); --late-worker-ms MS: spawn one
-                     #   extra worker MS into the run
+                     #   extra worker MS after the first shard is dispatched
   coverage serve     --n <sets> [--guesses G] [--dynamic [--k K]] [--eps E] [--budget B] [--seed S]
                      [--publish-every U] [--queue Q] [--journal] [--journal-recover]
                      # long-lived serving daemon speaking the framed CVSV
@@ -133,7 +135,56 @@ USAGE:
                                        # (op +/-, set, element); F = churn fraction
 
 WORKLOADS: uniform (default) | zipf | planted | blogs
-DEFAULTS:  --eps 0.25  --budget 5000  --seed 42";
+DEFAULTS:  --eps 0.25  --budget 5000  --seed 42
+A flag the subcommand does not read exits 2.";
+
+/// The flags each subcommand reads; `None` for a command that has no
+/// flag list (unknown commands and `help`).
+fn flags_of(cmd: &str) -> Option<&'static [&'static str]> {
+    Some(match cmd {
+        "kcover" => &[
+            "n", "m", "k", "budget", "eps", "workload", "seed", "input", "dynamic", "pattern",
+            "churn",
+        ],
+        "setcover" => &["n", "m", "kstar", "lambda", "budget", "eps", "seed"],
+        "multipass" => &["n", "m", "kstar", "rounds", "budget", "eps", "seed"],
+        "dist" => &[
+            "n",
+            "m",
+            "k",
+            "machines",
+            "parallel",
+            "budget",
+            "seed",
+            "workload",
+            "processes",
+            "sockets",
+            "listen",
+            "fault-plan",
+            "job-timeout-ms",
+            "chunk-items",
+            "late-worker-ms",
+        ],
+        "serve" => &[
+            "n",
+            "guesses",
+            "dynamic",
+            "k",
+            "eps",
+            "budget",
+            "seed",
+            "publish-every",
+            "queue",
+            "journal",
+            "journal-recover",
+            "ingest-panic-after",
+        ],
+        "solve" => &["n", "m", "k", "workload", "seed"],
+        "lemmas" => &["n", "m", "seed"],
+        "gen" => &["n", "m", "workload", "seed", "format", "deletions"],
+        _ => return None,
+    })
+}
 
 /// Split `cmd flag-value pairs` into a command plus a flag map. A flag
 /// followed by another flag (or by nothing) is a bare boolean switch
@@ -479,25 +530,6 @@ fn cmd_dist(flags: &HashMap<String, String>) {
     let stream = stream_of(&inst, seed);
     let cfg = DistConfig::new(machines, k, 0.25, seed).with_sizing(SketchSizing::Budget(budget));
     let threads: usize = get(flags, "parallel", 0);
-    let processes: usize = get(flags, "processes", 0);
-    let ship = match flags.get("ship") {
-        Some(s) => match ShipFormat::parse(s) {
-            Some(f) => f,
-            None => {
-                eprintln!("unknown ship format `{s}` (json|binary|memory)");
-                exit(2);
-            }
-        },
-        None => ShipFormat::Binary,
-    };
-    let ingest = match flags.get("ingest").map(String::as_str) {
-        Some("pipelined") | None => IngestMode::Pipelined,
-        Some("two-barrier") => IngestMode::TwoBarrier,
-        Some(s) => {
-            eprintln!("unknown ingest mode `{s}` (pipelined|two-barrier)");
-            exit(2);
-        }
-    };
     let fault_plan = flags.get("fault-plan").map(|s| match FaultPlan::parse(s) {
         Ok(plan) => plan,
         Err(e) => {
@@ -506,64 +538,30 @@ fn cmd_dist(flags: &HashMap<String, String>) {
         }
     });
     let job_timeout_ms: u64 = get(flags, "job-timeout-ms", 0);
-    if processes > 0 || get(flags, "sockets", 0usize) > 0 || flags.contains_key("listen") {
-        cmd_dist_workers(
-            cfg,
-            flags,
-            ship,
-            fault_plan,
-            job_timeout_ms,
-            &stream,
-            &inst,
-            opt,
-        );
-        return;
-    }
-    if fault_plan.is_some() || job_timeout_ms > 0 {
+    let on_workers = get(flags, "processes", 0usize) > 0
+        || get(flags, "sockets", 0usize) > 0
+        || flags.contains_key("listen");
+    if !on_workers && (fault_plan.is_some() || job_timeout_ms > 0) {
         eprintln!(
             "--fault-plan/--job-timeout-ms require worker processes \
              (--processes P, --sockets P or --listen ADDR)"
         );
         exit(2);
     }
-    let (family, per_machine, merged_edges, extra_rows) = if threads > 0 {
-        let res = ParallelRunner::new(cfg, threads)
-            .with_ingest_mode(ingest)
-            .run(&stream);
-        let extras = vec![
-            ("ingest mode".to_string(), format!("{ingest:?}")),
-            ("threads".to_string(), res.threads_used.to_string()),
-            (
-                "partition ms".to_string(),
-                fmt_f(res.partition_ns as f64 / 1e6, 2),
-            ),
-            ("map ms".to_string(), fmt_f(res.map_ns as f64 / 1e6, 2)),
-            (
-                "reduce+solve ms".to_string(),
-                fmt_f(res.reduce_solve_ns as f64 / 1e6, 2),
-            ),
-            (
-                "reduce rounds".to_string(),
-                res.rounds.num_rounds().to_string(),
-            ),
-            (
-                "words shipped".to_string(),
-                fmt_count(res.rounds.total_words()),
-            ),
-        ];
-        (res.family, res.per_machine, res.merged_edges, extras)
+    let (executor, res) = if on_workers {
+        run_dist_workers(cfg, flags, fault_plan, job_timeout_ms, &stream)
+    } else if threads > 0 {
+        let res = ParallelRunner::new(cfg, threads).run(&stream);
+        (format!("{threads} threads"), res)
     } else {
         let res = distributed_k_cover(&stream, &cfg);
-        (res.family, res.per_machine, res.merged_edges, Vec::new())
+        ("sequential simulation".to_string(), res)
     };
-    let covered = inst.coverage(&family);
-    let title = if threads > 0 {
-        format!("distributed k-cover ({machines} machines, {threads} threads)")
-    } else {
-        format!("distributed k-cover ({machines} machines, sequential simulation)")
-    };
+
+    let covered = inst.coverage(&res.family);
+    let title = format!("distributed k-cover ({machines} machines, {executor})");
     let mut t = Table::new(title, &["metric", "value"]);
-    t.row(vec!["family".into(), format!("{family:?}")]);
+    t.row(vec!["family".into(), format!("{:?}", res.family)]);
     t.row(vec!["covered".into(), fmt_count(covered as u64)]);
     if let Some(opt) = opt {
         t.row(vec![
@@ -571,14 +569,33 @@ fn cmd_dist(flags: &HashMap<String, String>) {
             fmt_f(covered as f64 / opt as f64, 4),
         ]);
     }
-    t.row(vec![
-        "max per-machine edges".into(),
-        fmt_count(per_machine.iter().map(|r| r.peak_edges).max().unwrap_or(0)),
-    ]);
-    t.row(vec!["merged edges".into(), fmt_count(merged_edges as u64)]);
-    for (k, v) in extra_rows {
-        t.row(vec![k, v]);
+    if let Some(peak) = res.per_machine.iter().map(|r| r.peak_edges).max() {
+        t.row(vec!["max per-machine edges".into(), fmt_count(peak)]);
     }
+    t.row(vec![
+        "merged edges".into(),
+        fmt_count(res.merged_edges as u64),
+    ]);
+    if on_workers {
+        worker_rows(&mut t, &res.stats);
+    }
+    t.row(vec![
+        "reduce rounds".into(),
+        res.rounds.num_rounds().to_string(),
+    ]);
+    t.row(vec![
+        "words shipped".into(),
+        fmt_count(res.rounds.total_words()),
+    ]);
+    t.row(vec![
+        "partition ms".into(),
+        fmt_f(res.partition_ns as f64 / 1e6, 2),
+    ]);
+    t.row(vec!["map ms".into(), fmt_f(res.map_ns as f64 / 1e6, 2)]);
+    t.row(vec![
+        "reduce+solve ms".into(),
+        fmt_f(res.reduce_solve_ns as f64 / 1e6, 2),
+    ]);
     println!("{}", t.render());
 }
 
@@ -586,20 +603,15 @@ fn cmd_dist(flags: &HashMap<String, String>) {
 /// coordinator. Pipe mode spawns `P` copies of this binary in the
 /// hidden `worker` mode; loopback mode spawns them as
 /// `worker --connect`; listen mode binds `ADDR` and waits for workers
-/// started by hand. Every mode runs heartbeat-graded liveness, chunked
-/// shard streaming, and the identical partition → map → tree-reduce →
-/// solve pipeline.
-#[allow(clippy::too_many_arguments)]
-fn cmd_dist_workers(
+/// started by hand. Returns the executor's name for the table title and
+/// the run's report.
+fn run_dist_workers(
     cfg: DistConfig,
     flags: &HashMap<String, String>,
-    ship: ShipFormat,
     fault_plan: Option<FaultPlan>,
     job_timeout_ms: u64,
     stream: &VecStream,
-    inst: &coverage_suite::core::CoverageInstance,
-    opt: Option<usize>,
-) {
+) -> (String, RunReport) {
     let processes: usize = get(flags, "processes", 0);
     let sockets: usize = get(flags, "sockets", 0);
     let command = || match WorkerCommand::current_exe(vec!["worker".to_string()]) {
@@ -609,7 +621,7 @@ fn cmd_dist_workers(
             exit(1);
         }
     };
-    let (mut runner, workers): (Coordinator<SocketResult>, String) = match flags.get("listen") {
+    let (mut runner, workers): (Coordinator<RunReport>, String) = match flags.get("listen") {
         Some(_) if sockets > 0 => {
             eprintln!("--listen and --sockets are mutually exclusive");
             exit(2);
@@ -628,7 +640,6 @@ fn cmd_dist_workers(
             (runner, format!("{processes} worker processes"))
         }
     };
-    runner = runner.with_ship_format(ship);
     if let Some(plan) = fault_plan {
         runner = runner.with_fault_plan(plan);
     }
@@ -643,29 +654,18 @@ fn cmd_dist_workers(
     if late_worker_ms > 0 {
         runner = runner.with_late_worker_after(std::time::Duration::from_millis(late_worker_ms));
     }
-    let res = match runner.run(stream) {
-        Ok(r) => r,
+    match runner.run(stream) {
+        Ok(res) => (workers, res),
         Err(e) => {
             eprintln!("distributed run failed: {e}");
             exit(1);
         }
-    };
-    let covered = inst.coverage(&res.family);
-    let s = &res.stats;
-    let title = format!("distributed k-cover ({} machines, {workers})", cfg.machines);
-    let mut t = Table::new(title, &["metric", "value"]);
-    t.row(vec!["family".into(), format!("{:?}", res.family)]);
-    t.row(vec!["covered".into(), fmt_count(covered as u64)]);
-    if let Some(opt) = opt {
-        t.row(vec![
-            "coverage/OPT".into(),
-            fmt_f(covered as f64 / opt as f64, 4),
-        ]);
     }
-    t.row(vec![
-        "merged edges".into(),
-        fmt_count(res.merged_edges as u64),
-    ]);
+}
+
+/// The coordinator's registry, fault and transport rows of the `dist`
+/// table.
+fn worker_rows(t: &mut Table, s: &SocketRunStats) {
     t.row(vec![
         "workers joined".into(),
         format!("{} ({} late)", s.workers_joined, s.late_joiners),
@@ -726,22 +726,7 @@ fn cmd_dist_workers(
             ),
         ]);
     }
-    t.row(vec!["ship format".into(), format!("{ship:?}")]);
     t.row(vec!["wire bytes".into(), fmt_count(s.wire_bytes)]);
-    t.row(vec![
-        "reduce rounds".into(),
-        res.rounds.num_rounds().to_string(),
-    ]);
-    t.row(vec![
-        "partition ms".into(),
-        fmt_f(res.partition_ns as f64 / 1e6, 2),
-    ]);
-    t.row(vec!["map ms".into(), fmt_f(res.map_ns as f64 / 1e6, 2)]);
-    t.row(vec![
-        "reduce+solve ms".into(),
-        fmt_f(res.reduce_solve_ns as f64 / 1e6, 2),
-    ]);
-    println!("{}", t.render());
 }
 
 /// `coverage serve`: run the epoch-snapshot serving daemon over this

@@ -17,7 +17,7 @@
 //! | [`algs`] | Algorithms 3–6 (+ dynamic k-cover) + baselines (Saha–Getoor, Sieve, ℓ₀) |
 //! | [`lb`] | hardness artifacts (k-purification, noisy oracle, DISJ) |
 //! | [`data`] | synthetic workload generators (incl. deletion workloads) |
-//! | [`dist`] | distributed executors: sharding, generic tree reduce, parallel + dynamic runners |
+//! | [`dist`] | distributed executors: one pipeline (sharding, in-memory tree reduce, solve) built serially, on threads or on worker processes, one `RunReport` |
 //! | [`serve`] | the serving subsystem: epoch-snapshot publication, concurrent ingest, lock-free queries, the `coverage serve` daemon |
 //!
 //! The paper-to-code map in `docs/PAPER_MAP.md` locates every paper
@@ -86,12 +86,11 @@ pub mod prelude {
         zipf_instance, BlockModel, DynamicWorkload, InstanceMeta, PlantedDynamicWorkload,
     };
     pub use coverage_dist::{
-        distributed_k_cover, distributed_k_cover_serial, dynamic_distributed_k_cover,
-        partition_edges, partition_updates, tree_reduce, tree_reduce_via, Coordinator, DistConfig,
-        DistResult, DynDistResult, DynSocketResult, DynamicParallelResult, Fault, FaultPlan,
-        FaultyTransport, HeartbeatStats, IngestMode, ParallelResult, ParallelRunner, ProcessResult,
-        ProcessRunner, RetryPolicy, RunError, ShipFormat, SocketResult, SocketRunStats,
-        SocketRunner, SplitMix64, WorkerCommand, WorkerState, WorkerSummary,
+        distributed_k_cover, dynamic_distributed_k_cover, partition_edges, partition_updates,
+        tree_reduce_via, tree_reduce_with, Coordinator, DistConfig, Fault, FaultPlan,
+        FaultyTransport, HeartbeatStats, ParallelRunner, ProcessResult, ProcessRunner, RetryPolicy,
+        RunError, RunReport, SampleLevel, ShipFormat, SocketRunStats, SocketRunner, SplitMix64,
+        WorkerCommand, WorkerState, WorkerSummary,
     };
     pub use coverage_serve::{
         answer_query, answer_query_deadline, EpochSnapshot, GuessView, LiveStore, QueryAnswer,

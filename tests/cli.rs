@@ -159,39 +159,50 @@ fn dist_family_matches_machine_count_one() {
 }
 
 #[test]
-fn dist_ingest_modes_select_the_same_family() {
+fn unknown_flags_are_usage_errors() {
     let base = [
-        "dist",
-        "--n",
-        "40",
-        "--m",
-        "1500",
-        "--k",
-        "3",
-        "--budget",
-        "2000",
-        "--workload",
-        "planted",
-        "--machines",
-        "4",
-        "--parallel",
-        "2",
+        "dist", "--n", "40", "--m", "1500", "--k", "3", "--budget", "2000",
     ];
-    let (pipelined, _, ok_p) = run(&[&base[..], &["--ingest", "pipelined"]].concat());
-    let (barrier, _, ok_b) = run(&[&base[..], &["--ingest", "two-barrier"]].concat());
-    assert!(ok_p && ok_b);
-    let family_line = |s: &str| {
-        s.lines()
-            .find(|l| l.contains("family"))
-            .map(str::to_string)
-            .expect("family row")
-    };
-    assert_eq!(family_line(&pipelined), family_line(&barrier));
-    assert!(pipelined.contains("Pipelined"));
-    assert!(barrier.contains("TwoBarrier"));
-    // An unknown mode is a usage error.
-    let (_, _, ok_bad) = run(&[&base[..], &["--ingest", "bogus"]].concat());
-    assert!(!ok_bad);
+    // A misspelled flag, and the retired ship/ingest knobs, exit 2 with
+    // a message naming the flag instead of silently running defaults.
+    for (extra, named) in [
+        (["--machine", "8"], "--machine"),
+        (["--ship", "binary"], "--ship"),
+        (["--ingest", "pipelined"], "--ingest"),
+    ] {
+        let (stdout, stderr, ok) = run(&[&base[..], &extra[..]].concat());
+        assert!(!ok, "{named} must be rejected");
+        assert!(stdout.is_empty(), "{named}: nothing may run");
+        assert!(
+            stderr.contains(&format!("unknown flag {named}")),
+            "{stderr}"
+        );
+    }
+    let (_, stderr, ok) = run(&[
+        "kcover", "--n", "20", "--m", "500", "--k", "2", "--bugdet", "10",
+    ]);
+    assert!(!ok);
+    assert!(stderr.contains("unknown flag --bugdet"), "{stderr}");
+    // Every flag a dist run reads is still accepted, and so are the
+    // serve flags the benchmark passes (stdin is empty: the daemon
+    // drains and exits 0).
+    let (stdout, _, ok) = run(&[&base[..], &["--machines", "8", "--parallel", "2"]].concat());
+    assert!(ok && stdout.contains("8 machines, 2 threads"), "{stdout}");
+    let serve = [
+        "serve",
+        "--n",
+        "20",
+        "--budget",
+        "500",
+        "--guesses",
+        "2",
+        "--eps",
+        "0.3",
+        "--seed",
+        "1",
+    ];
+    let (_, stderr, ok) = run(&serve);
+    assert!(ok, "{stderr}");
 }
 
 #[test]

@@ -184,8 +184,8 @@ fn reference_dynamic_workload_pinned() {
     let serial = dynamic_distributed_k_cover(&w.stream, &cfg);
     let par = ParallelRunner::new(cfg, 4).run_dynamic(&w.stream);
     assert_eq!(par.family, serial.family);
-    assert_eq!(par.sample_level, serial.sample_level);
-    assert_eq!(par.recovered_edges, serial.recovered_edges);
+    assert_eq!(par.sample, serial.sample);
+    assert_eq!(par.merged_edges, serial.merged_edges);
     // The planted golden sets are 0..4; the dynamic pipeline must find
     // exactly them (order may legitimately change if tie-breaking does —
     // update deliberately).

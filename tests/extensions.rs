@@ -135,7 +135,7 @@ fn wire_format_tree_reduce_equals_local() {
                 .restore()
         })
         .collect();
-    let (merged, report) = tree_reduce(shipped, 2);
+    let (merged, report) = tree_reduce_with(shipped, 2, ShipFormat::InMemory);
     assert!(report.num_rounds() >= 3); // 5 → 3 → 2 → 1
     let dist_family = lazy_greedy_k_cover(&merged.instance(), 4).family();
     assert_eq!(local_family, dist_family);

@@ -102,25 +102,19 @@ proptest! {
     }
 }
 
-/// Degenerate-shape corners for both ingest modes: the executor must
-/// neither hang nor diverge from the serial simulation when the stream
-/// is empty, when there is a single shard, when there are far more
-/// shards than edges, or when the channel batch is a single edge.
+/// Degenerate-shape corners: the executor must neither hang nor
+/// diverge from the serial simulation when the stream is empty, when
+/// there is a single shard, when there are far more shards than edges,
+/// or when the partition batch is a single edge.
 #[test]
 fn degenerate_shapes_match_serial() {
     let run_both = |cfg: DistConfig, threads: usize, batch: usize, stream: &VecStream| {
-        let serial = distributed_k_cover_serial(stream, &cfg);
-        for mode in [IngestMode::Pipelined, IngestMode::TwoBarrier] {
-            let par = ParallelRunner::new(cfg, threads)
-                .with_ingest_mode(mode)
-                .with_batch(batch)
-                .run(stream);
-            assert_eq!(
-                par.family, serial.family,
-                "mode={mode:?} threads={threads} batch={batch}"
-            );
-            assert_eq!(par.merged_edges, serial.merged_edges);
-        }
+        let serial = distributed_k_cover(stream, &cfg);
+        let par = ParallelRunner::new(cfg, threads)
+            .with_batch(batch)
+            .run(stream);
+        assert_eq!(par.family, serial.family, "threads={threads} batch={batch}");
+        assert_eq!(par.merged_edges, serial.merged_edges);
     };
 
     // Zero-edge stream: nothing to partition, nothing to build — every
@@ -133,8 +127,7 @@ fn degenerate_shapes_match_serial() {
         &empty,
     );
 
-    // Single shard: the whole stream funnels through one worker; the
-    // pipelined channel degenerates to a producer/consumer pair.
+    // Single shard: the whole stream funnels through one worker.
     let small = generated_stream(2, 10, 300, 2, 13);
     run_both(
         DistConfig::new(1, 2, 0.3, 13).with_sizing(SketchSizing::Budget(400)),
@@ -153,8 +146,8 @@ fn degenerate_shapes_match_serial() {
         &tiny,
     );
 
-    // Batch size 1: maximal channel traffic, one edge per send — the
-    // ordering contract must survive the chattiest schedule.
+    // Batch size 1: the partition pass routes one edge at a time — the
+    // ordering contract must survive the finest batching.
     let chatty = generated_stream(0, 8, 200, 2, 29);
     run_both(
         DistConfig::new(3, 2, 0.3, 29).with_sizing(SketchSizing::Budget(300)),
@@ -174,15 +167,8 @@ fn degenerate_shapes_match_serial_dynamic() {
         let embedded = InsertOnly::new(stream);
         let cfg = DistConfig::new(machines, 2, 0.3, 3).with_sizing(SketchSizing::Budget(100));
         let serial = dynamic_distributed_k_cover(&embedded, &cfg);
-        for mode in [IngestMode::Pipelined, IngestMode::TwoBarrier] {
-            let par = ParallelRunner::new(cfg, threads)
-                .with_ingest_mode(mode)
-                .run_dynamic(&embedded);
-            assert_eq!(
-                par.family, serial.family,
-                "mode={mode:?} machines={machines}"
-            );
-        }
+        let par = ParallelRunner::new(cfg, threads).run_dynamic(&embedded);
+        assert_eq!(par.family, serial.family, "machines={machines}");
     }
 }
 

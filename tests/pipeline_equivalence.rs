@@ -1,20 +1,19 @@
-//! Differential stress suite for the pipelined parallel executors and
+//! Differential stress suite for the executor pipeline on threads and
 //! the parallel multi-guess solve path.
 //!
-//! The contract under test: **pipelining is invisible in the output.**
+//! The contract under test: **threading is invisible in the output.**
 //! For any thread count, shard count, workload family, and update mode
-//! (insert-only or churn), [`ParallelRunner`] in
-//! [`IngestMode::Pipelined`] (bounded channel of edge chunks per shard,
-//! partition overlapping build) selects the *identical* family as
-//! [`IngestMode::TwoBarrier`] (partition fully, then build) and as the
-//! strictly serial simulation — and the parallel multi-guess solve
-//! returns bit-identical full greedy traces to the sequential per-guess
-//! loop.
+//! (insert-only or churn), [`ParallelRunner`] (one partition pass, then
+//! the shard builds on up to `threads` threads) selects the *identical*
+//! family as the strictly serial simulation — and the parallel
+//! multi-guess solve returns bit-identical full greedy traces to the
+//! sequential per-guess loop. (The `pipelined_` test names refer to the
+//! executor pipeline: partition → build → reduce → solve.)
 //!
 //! These tests run in CI's release-mode `RUST_TEST_THREADS ∈ {1, 2, 8}`
-//! matrix leg, so the schedule-dependence surface (channel interleaving
-//! under contention, work-stealing order in the guess solver) is
-//! exercised under three different host-parallelism regimes.
+//! matrix leg, so the schedule-dependence surface (map-thread
+//! scheduling under contention, work-stealing order in the guess
+//! solver) is exercised under three different host-parallelism regimes.
 
 use proptest::prelude::*;
 
@@ -43,32 +42,23 @@ fn generated_stream(generator: u8, n: usize, m: u64, k: usize, seed: u64) -> Vec
     stream
 }
 
-/// Insert-only sweep: pipelined == two-barrier == serial, exhaustively
-/// over generators × shard counts × the thread matrix. Deterministic
-/// (fixed seeds) so a failure pins the exact cell.
+/// Insert-only sweep: parallel == serial, exhaustively over generators
+/// × shard counts × the thread matrix. Deterministic (fixed seeds) so a
+/// failure pins the exact cell.
 #[test]
-fn pipelined_matches_two_barrier_and_serial_insert_only() {
+fn parallel_matches_serial_insert_only() {
     for generator in 0u8..3 {
         for machines in [1usize, 3, 8] {
             let seed = 31 + generator as u64 * 7 + machines as u64;
             let stream = generated_stream(generator, 20, 1_200, 3, seed);
             let cfg =
                 DistConfig::new(machines, 3, 0.3, seed).with_sizing(SketchSizing::Budget(800));
-            let serial = distributed_k_cover_serial(&stream, &cfg);
+            let serial = distributed_k_cover(&stream, &cfg);
             for threads in THREAD_MATRIX {
-                let pipe = ParallelRunner::new(cfg, threads)
-                    .with_ingest_mode(IngestMode::Pipelined)
-                    .run(&stream);
-                let barrier = ParallelRunner::new(cfg, threads)
-                    .with_ingest_mode(IngestMode::TwoBarrier)
-                    .run(&stream);
-                assert_eq!(
-                    pipe.family, barrier.family,
-                    "pipelined vs two-barrier: gen={generator} machines={machines} threads={threads}"
-                );
+                let pipe = ParallelRunner::new(cfg, threads).run(&stream);
                 assert_eq!(
                     pipe.family, serial.family,
-                    "pipelined vs serial: gen={generator} machines={machines} threads={threads}"
+                    "parallel vs serial: gen={generator} machines={machines} threads={threads}"
                 );
                 assert_eq!(pipe.merged_edges, serial.merged_edges);
             }
@@ -77,10 +67,10 @@ fn pipelined_matches_two_barrier_and_serial_insert_only() {
 }
 
 /// Churn sweep: the dynamic (insert/delete) pipeline under the same
-/// matrix — pipelined == two-barrier == the serial dynamic reference,
-/// over generators × shard counts × threads, on a 30%-churn workload.
+/// matrix — parallel == the serial dynamic reference, over generators ×
+/// shard counts × threads, on a 30%-churn workload.
 #[test]
-fn pipelined_matches_two_barrier_and_serial_churn() {
+fn parallel_matches_serial_churn() {
     for generator in 0u8..3 {
         for machines in [1usize, 4] {
             let seed = 53 + generator as u64 * 11 + machines as u64;
@@ -90,19 +80,10 @@ fn pipelined_matches_two_barrier_and_serial_churn() {
                 DistConfig::new(machines, 2, 0.3, seed).with_sizing(SketchSizing::Budget(600));
             let serial = dynamic_distributed_k_cover(&workload.stream, &cfg);
             for threads in THREAD_MATRIX {
-                let pipe = ParallelRunner::new(cfg, threads)
-                    .with_ingest_mode(IngestMode::Pipelined)
-                    .run_dynamic(&workload.stream);
-                let barrier = ParallelRunner::new(cfg, threads)
-                    .with_ingest_mode(IngestMode::TwoBarrier)
-                    .run_dynamic(&workload.stream);
-                assert_eq!(
-                    pipe.family, barrier.family,
-                    "dynamic pipelined vs two-barrier: gen={generator} machines={machines} threads={threads}"
-                );
+                let pipe = ParallelRunner::new(cfg, threads).run_dynamic(&workload.stream);
                 assert_eq!(
                     pipe.family, serial.family,
-                    "dynamic pipelined vs serial: gen={generator} machines={machines} threads={threads}"
+                    "dynamic parallel vs serial: gen={generator} machines={machines} threads={threads}"
                 );
             }
         }
@@ -110,7 +91,7 @@ fn pipelined_matches_two_barrier_and_serial_churn() {
 }
 
 /// Insert-only streams are a special case of dynamic streams; the
-/// dynamic pipelined path must agree with the dynamic serial reference
+/// dynamic parallel path must agree with the dynamic serial reference
 /// when fed an [`InsertOnly`] embedding too.
 #[test]
 fn pipelined_dynamic_handles_insert_only_embedding() {
@@ -119,9 +100,7 @@ fn pipelined_dynamic_handles_insert_only_embedding() {
     let cfg = DistConfig::new(4, 3, 0.3, 9).with_sizing(SketchSizing::Budget(700));
     let serial = dynamic_distributed_k_cover(&embedded, &cfg);
     for threads in THREAD_MATRIX {
-        let pipe = ParallelRunner::new(cfg, threads)
-            .with_ingest_mode(IngestMode::Pipelined)
-            .run_dynamic(&embedded);
+        let pipe = ParallelRunner::new(cfg, threads).run_dynamic(&embedded);
         assert_eq!(pipe.family, serial.family, "threads={threads}");
     }
 }
@@ -165,8 +144,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// Randomized insert-only cell sampling: any (generator, machines,
-    /// threads, batch, seed) point keeps pipelined == two-barrier ==
-    /// serial. Complements the exhaustive fixed-seed sweep above.
+    /// threads, batch, seed) point keeps parallel == serial. Complements
+    /// the exhaustive fixed-seed sweep above.
     #[test]
     fn pipelined_equivalence_random_cells(
         generator in 0u8..3,
@@ -178,17 +157,10 @@ proptest! {
         let stream = generated_stream(generator, 18, 900, 3, seed);
         let cfg = DistConfig::new(machines, 3, 0.3, seed)
             .with_sizing(SketchSizing::Budget(700));
-        let serial = distributed_k_cover_serial(&stream, &cfg);
+        let serial = distributed_k_cover(&stream, &cfg);
         let pipe = ParallelRunner::new(cfg, threads)
-            .with_ingest_mode(IngestMode::Pipelined)
             .with_batch(batch)
             .run(&stream);
-        let barrier = ParallelRunner::new(cfg, threads)
-            .with_ingest_mode(IngestMode::TwoBarrier)
-            .with_batch(batch)
-            .run(&stream);
-        prop_assert_eq!(&pipe.family, &barrier.family,
-            "gen={} machines={} threads={} batch={}", generator, machines, threads, batch);
         prop_assert_eq!(&pipe.family, &serial.family,
             "gen={} machines={} threads={} batch={}", generator, machines, threads, batch);
     }
@@ -207,9 +179,7 @@ proptest! {
         let cfg = DistConfig::new(machines, 2, 0.3, seed)
             .with_sizing(SketchSizing::Budget(500));
         let serial = dynamic_distributed_k_cover(&workload.stream, &cfg);
-        let pipe = ParallelRunner::new(cfg, threads)
-            .with_ingest_mode(IngestMode::Pipelined)
-            .run_dynamic(&workload.stream);
+        let pipe = ParallelRunner::new(cfg, threads).run_dynamic(&workload.stream);
         prop_assert_eq!(&pipe.family, &serial.family,
             "gen={} machines={} threads={} churn={:.2}", generator, machines, threads, churn);
     }

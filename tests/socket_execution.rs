@@ -166,6 +166,62 @@ fn stalled_connection_turns_suspect_then_recovers() {
     );
 }
 
+/// The one report across executors: the serial simulation, the
+/// threads, pipe workers and TCP workers run the same pipeline and must
+/// report the same run — family, merged edges or decoded sample, the
+/// estimate bit for bit, and the in-memory reduce's rounds and words —
+/// on an insert-only input and on a churn input.
+#[test]
+fn every_executor_returns_the_same_run_report() {
+    let agree = |name: &str, got: &RunReport, want: &RunReport| {
+        assert_eq!(got.family, want.family, "{name}: family");
+        assert_eq!(got.merged_edges, want.merged_edges, "{name}: merged edges");
+        assert_eq!(got.sample, want.sample, "{name}: decoded sample");
+        assert_eq!(
+            got.estimated_coverage.to_bits(),
+            want.estimated_coverage.to_bits(),
+            "{name}: estimate"
+        );
+        assert_eq!(
+            got.rounds.num_rounds(),
+            want.rounds.num_rounds(),
+            "{name}: rounds"
+        );
+        assert_eq!(
+            got.rounds.total_words(),
+            want.rounds.total_words(),
+            "{name}: words"
+        );
+    };
+    let stream = generated_stream(2, 24, 2_000, 3, 61);
+    let cfg = DistConfig::new(6, 3, 0.3, 61).with_sizing(SketchSizing::Budget(1_200));
+    let pipes = Coordinator::<RunReport>::pipes(cfg, worker_command(), 2);
+    let tcp = SocketRunner::new(cfg, worker_command(), 2);
+
+    let serial = distributed_k_cover(&stream, &cfg);
+    assert_eq!(serial.sample, None);
+    agree(
+        "threads",
+        &ParallelRunner::new(cfg, 3).run(&stream),
+        &serial,
+    );
+    agree("pipes", &pipes.run(&stream).expect("pipe run"), &serial);
+    agree("tcp", &tcp.run(&stream).expect("socket run"), &serial);
+
+    let churn = VecDynamicStream::new(24, signed_updates(&stream, 61));
+    let serial = dynamic_distributed_k_cover(&churn, &cfg);
+    assert!(serial.sample.is_some());
+    agree(
+        "threads (churn)",
+        &ParallelRunner::new(cfg, 3).run_dynamic(&churn),
+        &serial,
+    );
+    let run = pipes.run_dynamic(&churn).expect("dynamic pipe run");
+    agree("pipes (churn)", &run, &serial);
+    let run = tcp.run_dynamic(&churn).expect("dynamic socket run");
+    agree("tcp (churn)", &run, &serial);
+}
+
 #[test]
 fn duplicated_chunks_are_rejected_by_index_on_the_linear_sketch() {
     let stream = generated_stream(2, 24, 2_000, 3, 41);
@@ -181,8 +237,8 @@ fn duplicated_chunks_are_rejected_by_index_on_the_linear_sketch() {
         .run_dynamic(&dyn_stream)
         .expect("dynamic socket run with a duplicated chunk");
     assert_eq!(socket.family, serial.family);
-    assert_eq!(socket.sample_level, serial.sample_level);
-    assert_eq!(socket.recovered_edges, serial.recovered_edges);
+    assert_eq!(socket.sample, serial.sample);
+    assert_eq!(socket.merged_edges, serial.merged_edges);
     assert_eq!(socket.stats.chunk_dups_injected, 1);
 }
 
@@ -215,9 +271,12 @@ fn late_joining_worker_is_admitted_and_used() {
     // One initial worker grinding twelve shards one at a time through
     // tiny chunks, plus a second worker spawned 20ms into the run: the
     // late joiner must be admitted mid-run and handed queued shards.
+    // The first shard's stream stalls for 300ms, so the one initial
+    // worker cannot finish every shard before the late spawn connects.
     let socket = SocketRunner::new(cfg, worker_command(), 1)
         .with_chunk_items(64)
         .with_late_worker_after(Duration::from_millis(20))
+        .with_fault_plan(FaultPlan::new(37).with_fault(0, Fault::Stall(300)))
         .run(&stream)
         .expect("socket run with a late joiner");
     assert_eq!(socket.family, serial.family);
