@@ -528,7 +528,9 @@ impl Workers {
 /// by the age of its oldest unanswered probe (live → suspect → dead;
 /// see [`super::registry`]). A crash is EOF from the reader, a hang or
 /// over-deadline stall is reaped by the per-job deadline, a corrupt
-/// reply or version mismatch is a typed error from [`read_message`]. A
+/// reply or version mismatch is a typed error from [`read_message`], and
+/// a reply whose snapshot was built under another seed or other params
+/// than its job's is a protocol fault like a corrupt one. A
 /// dead worker's in-flight shard is requeued after an exponential
 /// backoff ([`RetryPolicy`]). A shard that exhausts its attempts or the
 /// run-wide retry budget is built inline, and so is every remaining
@@ -1096,7 +1098,7 @@ impl<R> Coordinator<R> {
                         msg => {
                             let inflight = conns[ci].inflight;
                             match inflight {
-                                Some(shard) => match S::reply(msg) {
+                                Some(shard) => match S::reply(msg, params, seed) {
                                     Some(snap) => {
                                         if snapshots[shard].is_none() {
                                             snapshots[shard] = Some(snap);
@@ -1108,8 +1110,10 @@ impl<R> Coordinator<R> {
                                         wheel.disarm(ci);
                                     }
                                     None => {
-                                        // Decoded frame, wrong species of
-                                        // reply: a protocol violation.
+                                        // Decoded frame, but the wrong
+                                        // species of reply or a snapshot
+                                        // built under another seed or
+                                        // params: a protocol violation.
                                         stats.proto_faults += 1;
                                         reap_conn!(ci);
                                     }

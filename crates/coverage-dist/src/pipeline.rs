@@ -36,6 +36,7 @@ use std::time::Instant;
 
 use coverage_core::offline::bucket_greedy_k_cover;
 use coverage_core::{Edge, SetId};
+use coverage_hash::UnitHash;
 use coverage_sketch::{
     DynamicSketch, DynamicSketchParams, DynamicSnapshot, SketchParams, SketchSnapshot,
     ThresholdSketch,
@@ -129,9 +130,10 @@ pub(crate) trait ShardSketch: Composable + Send + Sized {
         fault: Option<Fault>,
         batch: usize,
     ) -> ChunkPlan;
-    /// The snapshot a worker's reply carries; `None` for any other
-    /// message.
-    fn reply(msg: Message) -> Option<Self::Snapshot>;
+    /// The snapshot a worker's reply carries, if it was built under the
+    /// job's `params` and `seed` (what the reduce needs every local to
+    /// share); `None` for any other message or snapshot.
+    fn reply(msg: Message, params: Self::Params, seed: u64) -> Option<Self::Snapshot>;
     /// This sketch's snapshot (an inline build standing in for a
     /// worker's reply).
     fn snapshot(&self) -> Self::Snapshot;
@@ -181,9 +183,13 @@ impl ShardSketch for ThresholdSketch {
         plan_sketch(shard as u32, items, per_chunk, params, seed, fault, batch)
     }
 
-    fn reply(msg: Message) -> Option<SketchSnapshot> {
+    fn reply(msg: Message, params: SketchParams, seed: u64) -> Option<SketchSnapshot> {
         match msg {
-            Message::ReplySketch { snapshot } => Some(snapshot),
+            Message::ReplySketch { snapshot }
+                if snapshot.params == params && snapshot.raw_seed == UnitHash::new(seed).seed() =>
+            {
+                Some(snapshot)
+            }
             _ => None,
         }
     }
@@ -255,9 +261,13 @@ impl ShardSketch for DynamicSketch {
         plan_dynamic(shard as u32, items, per_chunk, params, seed, fault, batch)
     }
 
-    fn reply(msg: Message) -> Option<DynamicSnapshot> {
+    fn reply(msg: Message, params: DynamicSketchParams, seed: u64) -> Option<DynamicSnapshot> {
         match msg {
-            Message::ReplyDynamic { snapshot } => Some(snapshot),
+            Message::ReplyDynamic { snapshot }
+                if snapshot.params == params && snapshot.raw_seed == UnitHash::new(seed).seed() =>
+            {
+                Some(snapshot)
+            }
             _ => None,
         }
     }

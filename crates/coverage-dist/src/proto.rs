@@ -1,30 +1,29 @@
-//! The parent↔worker pipe protocol of the subprocess executor.
+//! The coordinator↔worker protocol of the distributed executors.
 //!
-//! [`ProcessRunner`](crate::ProcessRunner) talks to its workers over
-//! plain stdin/stdout pipes with length-prefixed, checksummed message
-//! frames — the same envelope discipline as the snapshot wire format
-//! (`coverage_sketch::wire`), under its own magic so a snapshot frame
-//! can never be confused for a protocol message.
+//! The [`Coordinator`](crate::Coordinator) talks to every worker with
+//! these messages over its duplex link — a pipe worker's stdin/stdout or
+//! a TCP worker's connection, byte for byte the same frames. The
+//! envelope (header, length, checksum, validation order, clean EOF
+//! versus a mid-frame cut) is `coverage_sketch::frame`'s; this module is
+//! the payload schema on it, under its own magic so a snapshot frame can
+//! never be confused for a protocol message.
 //!
-//! ## Frame layout (version 2)
+//! ## Schema (magic `CVPR`, version 2)
 //!
-//! | offset   | size | field                                   |
-//! |----------|------|-----------------------------------------|
-//! | 0        | 4    | magic `b"CVPR"`                         |
-//! | 4        | 2    | protocol version, `u16` LE (currently 2)|
-//! | 6        | 1    | message kind                            |
-//! | 7        | 1    | reserved (0)                            |
-//! | 8        | 8    | payload length `u64` LE                 |
-//! | 16       | len  | payload                                 |
-//! | 16 + len | 8    | FNV-1a 64 checksum of bytes `0..16+len` |
+//! Kinds 1–10: [`Message::JobSketch`], [`Message::JobDynamic`],
+//! [`Message::ReplySketch`], [`Message::ReplyDynamic`],
+//! [`Message::Shutdown`], [`Message::Heartbeat`],
+//! [`Message::ChunkStartSketch`], [`Message::ChunkStartDynamic`],
+//! [`Message::JobChunk`], [`Message::ChunkAck`]. The flags byte is
+//! reserved (0). Payloads above [`MAX_FRAME_PAYLOAD`] are rejected
+//! before any allocation.
 //!
 //! Version 2 replaced version 1's boolean `fail` flag in the job
 //! payloads with a generalized fault descriptor (a [`Fault`] code plus
 //! argument) and added the [`Message::Heartbeat`] probe. A frame from
 //! either side of the version fence is reported as a **typed**
 //! [`WireError::UnsupportedVersion`] — an old-version worker can never
-//! look like a hang or a crash. Payloads above [`MAX_FRAME_PAYLOAD`]
-//! are rejected before any allocation.
+//! look like a hang or a crash.
 //!
 //! ## Conversation
 //!
@@ -36,7 +35,7 @@
 //! other code is a typed [`WireError::Malformed`] error. A
 //! [`Message::Heartbeat`] is echoed back
 //! verbatim — the parent's liveness/version probe. A
-//! [`Message::Shutdown`] — or simply closing the pipe — ends the worker.
+//! [`Message::Shutdown`] — or simply closing the link — ends the worker.
 //! Jobs carry an optional [`Fault`] for deterministic fault injection:
 //! the worker executes it (crash without replying, hang forever, delay,
 //! or corrupt its reply frame), and the parent observes each through a
@@ -46,7 +45,9 @@
 use std::io::{Read, Write};
 
 use coverage_core::Edge;
-use coverage_sketch::wire::{checksum64, WireReader, WireWriter};
+use coverage_sketch::frame::{
+    checksum64, send, Frame, FrameSpec, WireReader, WireWriter, CHECKSUM_LEN, HEADER_LEN,
+};
 use coverage_sketch::{
     DynamicSketchParams, DynamicSnapshot, SketchParams, SketchSnapshot, WireError,
 };
@@ -54,6 +55,8 @@ use coverage_stream::SignedEdge;
 
 use crate::fault::Fault;
 use crate::rounds::ShipFormat;
+
+pub use coverage_sketch::frame::ProtoError;
 
 /// Protocol frame magic (distinct from the snapshot frame magic).
 pub const PROTO_MAGIC: [u8; 4] = *b"CVPR";
@@ -66,6 +69,14 @@ pub const PROTO_VERSION: u16 = 2;
 /// typed wire error detected **before** the payload buffer is allocated,
 /// so a corrupt or hostile length can never balloon parent memory.
 pub const MAX_FRAME_PAYLOAD: usize = 1 << 28;
+
+/// The `CVPR` envelope.
+pub const CVPR: FrameSpec = FrameSpec {
+    magic: PROTO_MAGIC,
+    version: PROTO_VERSION,
+    kinds: &[1, 2, 3, 4, 5, 6, 7, 8, 9, 10],
+    max_payload: MAX_FRAME_PAYLOAD as u64,
+};
 
 const KIND_JOB_SKETCH: u8 = 1;
 const KIND_JOB_DYNAMIC: u8 = 2;
@@ -93,41 +104,6 @@ const FAULT_DUP: u8 = 7;
 
 const CHUNK_EDGES: u8 = 0;
 const CHUNK_UPDATES: u8 = 1;
-
-/// A protocol failure: either the pipe broke or a frame was corrupt.
-#[derive(Debug)]
-pub enum ProtoError {
-    /// The underlying pipe failed mid-frame.
-    Io(std::io::Error),
-    /// A frame or its payload failed validation.
-    Wire(WireError),
-    /// The pipe closed cleanly between frames (worker exit / EOF).
-    Eof,
-}
-
-impl std::fmt::Display for ProtoError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ProtoError::Io(e) => write!(f, "pipe error: {e}"),
-            ProtoError::Wire(e) => write!(f, "protocol frame error: {e}"),
-            ProtoError::Eof => write!(f, "pipe closed"),
-        }
-    }
-}
-
-impl std::error::Error for ProtoError {}
-
-impl From<std::io::Error> for ProtoError {
-    fn from(e: std::io::Error) -> Self {
-        ProtoError::Io(e)
-    }
-}
-
-impl From<WireError> for ProtoError {
-    fn from(e: WireError) -> Self {
-        ProtoError::Wire(e)
-    }
-}
 
 /// One protocol message.
 #[derive(Clone, Debug)]
@@ -295,7 +271,7 @@ fn put_fault(w: &mut WireWriter, fault: &Option<Fault>) {
     w.put_varint(arg);
 }
 
-fn get_fault(r: &mut WireReader<'_>) -> Result<Option<Fault>, ProtoError> {
+fn get_fault(r: &mut WireReader<'_>) -> Result<Option<Fault>, WireError> {
     let code = r.get_u8()?;
     let arg = r.get_varint()?;
     Ok(match code {
@@ -307,15 +283,15 @@ fn get_fault(r: &mut WireReader<'_>) -> Result<Option<Fault>, ProtoError> {
         FAULT_DROP => Some(Fault::DropConn),
         FAULT_STALL => Some(Fault::Stall(arg)),
         FAULT_DUP => Some(Fault::DupChunk),
-        _ => return Err(WireError::Malformed("unknown fault code").into()),
+        _ => return Err(WireError::Malformed("unknown fault code")),
     })
 }
 
 /// Read a payload's ship code, which must be the binary one.
-fn get_ship(r: &mut WireReader<'_>) -> Result<(), ProtoError> {
+fn get_ship(r: &mut WireReader<'_>) -> Result<ShipFormat, WireError> {
     match r.get_u8()? {
-        SHIP_BINARY => Ok(()),
-        _ => Err(WireError::Malformed("ship code is not binary").into()),
+        SHIP_BINARY => Ok(ShipFormat::Binary),
+        _ => Err(WireError::Malformed("ship code is not binary")),
     }
 }
 
@@ -327,45 +303,18 @@ fn put_frame(w: &mut WireWriter, frame: &[u8]) {
 }
 
 /// Read a reply's ship code and the snapshot frame behind it.
-fn get_frame<'a>(r: &mut WireReader<'a>) -> Result<&'a [u8], ProtoError> {
+fn get_frame<'a>(r: &mut WireReader<'a>) -> Result<&'a [u8], WireError> {
     get_ship(r)?;
     let len = r.get_len()?;
-    Ok(r.get_bytes(len)?)
+    r.get_bytes(len)
 }
 
-fn put_base_params(w: &mut WireWriter, p: &SketchParams) {
-    w.put_varint(p.num_sets as u64);
-    w.put_varint(p.k as u64);
-    w.put_u64(p.epsilon.to_bits());
-    w.put_varint(p.degree_cap as u64);
-    w.put_varint(p.edge_budget as u64);
-    w.put_varint(p.edge_slack as u64);
-    w.put_u8(p.dedup as u8);
+fn get_u32v(r: &mut WireReader<'_>) -> Result<u32, WireError> {
+    u32::try_from(r.get_varint()?).map_err(|_| WireError::Malformed("chunk field exceeds u32"))
 }
 
-fn get_base_params(r: &mut WireReader<'_>) -> Result<SketchParams, ProtoError> {
-    Ok(SketchParams {
-        num_sets: r.get_len()?,
-        k: r.get_len()?,
-        epsilon: f64::from_bits(r.get_u64()?),
-        degree_cap: r.get_len()?,
-        edge_budget: r.get_len()?,
-        edge_slack: r.get_len()?,
-        dedup: match r.get_u8()? {
-            0 => false,
-            1 => true,
-            _ => return Err(WireError::Malformed("dedup flag is not 0 or 1").into()),
-        },
-    })
-}
-
-fn get_u32v(r: &mut WireReader<'_>) -> Result<u32, ProtoError> {
-    u32::try_from(r.get_varint()?)
-        .map_err(|_| WireError::Malformed("chunk field exceeds u32").into())
-}
-
-fn encode_payload(msg: &Message) -> (u8, Vec<u8>) {
-    let mut w = WireWriter::new();
+/// Write `msg`'s payload and return its kind.
+fn put_payload(w: &mut WireWriter, msg: &Message) -> u8 {
     match msg {
         Message::JobSketch {
             params,
@@ -375,17 +324,13 @@ fn encode_payload(msg: &Message) -> (u8, Vec<u8>) {
             edges,
             ..
         } => {
-            put_base_params(&mut w, params);
+            w.put_params(params);
             w.put_u64(*seed);
             w.put_u8(SHIP_BINARY);
-            put_fault(&mut w, fault);
+            put_fault(w, fault);
             w.put_varint(*batch as u64);
-            w.put_varint(edges.len() as u64);
-            for e in edges {
-                w.put_varint(e.set.0 as u64);
-                w.put_varint(e.element.0);
-            }
-            (KIND_JOB_SKETCH, w.into_bytes())
+            w.put_edges(edges);
+            KIND_JOB_SKETCH
         }
         Message::JobDynamic {
             params,
@@ -395,33 +340,25 @@ fn encode_payload(msg: &Message) -> (u8, Vec<u8>) {
             updates,
             ..
         } => {
-            put_base_params(&mut w, &params.base);
-            w.put_varint(params.levels as u64);
-            w.put_varint(params.rows as u64);
-            w.put_varint(params.row_len as u64);
+            w.put_dynamic_params(params);
             w.put_u64(*seed);
             w.put_u8(SHIP_BINARY);
-            put_fault(&mut w, fault);
+            put_fault(w, fault);
             w.put_varint(*batch as u64);
-            w.put_varint(updates.len() as u64);
-            for u in updates {
-                w.put_u8(if u.sign() >= 0 { 0 } else { 1 });
-                w.put_varint(u.edge.set.0 as u64);
-                w.put_varint(u.edge.element.0);
-            }
-            (KIND_JOB_DYNAMIC, w.into_bytes())
+            w.put_updates(updates);
+            KIND_JOB_DYNAMIC
         }
         Message::ReplySketch { snapshot } => {
-            put_frame(&mut w, &snapshot.encode_binary());
-            (KIND_REPLY_SKETCH, w.into_bytes())
+            put_frame(w, &snapshot.encode_binary());
+            KIND_REPLY_SKETCH
         }
         Message::ReplyDynamic { snapshot } => {
-            put_frame(&mut w, &snapshot.encode_binary());
-            (KIND_REPLY_DYNAMIC, w.into_bytes())
+            put_frame(w, &snapshot.encode_binary());
+            KIND_REPLY_DYNAMIC
         }
         Message::Heartbeat { nonce } => {
             w.put_u64(*nonce);
-            (KIND_HEARTBEAT, w.into_bytes())
+            KIND_HEARTBEAT
         }
         Message::ChunkStartSketch {
             shard,
@@ -433,12 +370,12 @@ fn encode_payload(msg: &Message) -> (u8, Vec<u8>) {
         } => {
             w.put_varint(*shard as u64);
             w.put_varint(*chunks as u64);
-            put_base_params(&mut w, params);
+            w.put_params(params);
             w.put_u64(*seed);
             w.put_u8(SHIP_BINARY);
-            put_fault(&mut w, fault);
+            put_fault(w, fault);
             w.put_varint(*batch as u64);
-            (KIND_CHUNK_START_SKETCH, w.into_bytes())
+            KIND_CHUNK_START_SKETCH
         }
         Message::ChunkStartDynamic {
             shard,
@@ -450,15 +387,12 @@ fn encode_payload(msg: &Message) -> (u8, Vec<u8>) {
         } => {
             w.put_varint(*shard as u64);
             w.put_varint(*chunks as u64);
-            put_base_params(&mut w, &params.base);
-            w.put_varint(params.levels as u64);
-            w.put_varint(params.rows as u64);
-            w.put_varint(params.row_len as u64);
+            w.put_dynamic_params(params);
             w.put_u64(*seed);
             w.put_u8(SHIP_BINARY);
-            put_fault(&mut w, fault);
+            put_fault(w, fault);
             w.put_varint(*batch as u64);
-            (KIND_CHUNK_START_DYNAMIC, w.into_bytes())
+            KIND_CHUNK_START_DYNAMIC
         }
         Message::JobChunk {
             shard,
@@ -474,20 +408,11 @@ fn encode_payload(msg: &Message) -> (u8, Vec<u8>) {
             let mut items = WireWriter::new();
             let tag = match payload {
                 ChunkPayload::Edges(edges) => {
-                    items.put_varint(edges.len() as u64);
-                    for e in edges {
-                        items.put_varint(e.set.0 as u64);
-                        items.put_varint(e.element.0);
-                    }
+                    items.put_edges(edges);
                     CHUNK_EDGES
                 }
                 ChunkPayload::Updates(updates) => {
-                    items.put_varint(updates.len() as u64);
-                    for u in updates {
-                        items.put_u8(if u.sign() >= 0 { 0 } else { 1 });
-                        items.put_varint(u.edge.set.0 as u64);
-                        items.put_varint(u.edge.element.0);
-                    }
+                    items.put_updates(updates);
                     CHUNK_UPDATES
                 }
             };
@@ -496,85 +421,36 @@ fn encode_payload(msg: &Message) -> (u8, Vec<u8>) {
             w.put_u64(checksum64(&items));
             w.put_varint(items.len() as u64);
             w.put_bytes(&items);
-            (KIND_JOB_CHUNK, w.into_bytes())
+            KIND_JOB_CHUNK
         }
         Message::ChunkAck { shard, index } => {
             w.put_varint(*shard as u64);
             w.put_varint(*index as u64);
-            (KIND_CHUNK_ACK, w.into_bytes())
+            KIND_CHUNK_ACK
         }
-        Message::Shutdown => (KIND_SHUTDOWN, Vec::new()),
+        Message::Shutdown => KIND_SHUTDOWN,
     }
 }
 
-fn decode_payload(kind: u8, payload: &[u8]) -> Result<Message, ProtoError> {
-    let mut r = WireReader::new(payload);
-    let msg = match kind {
-        KIND_JOB_SKETCH => {
-            let params = get_base_params(&mut r)?;
-            let seed = r.get_u64()?;
-            get_ship(&mut r)?;
-            let fault = get_fault(&mut r)?;
-            let batch = r.get_len()?;
-            let n = r.get_len()?;
-            if n > r.remaining() {
-                return Err(WireError::Malformed("edge count exceeds payload size").into());
-            }
-            let mut edges = Vec::with_capacity(n);
-            for _ in 0..n {
-                let set = u32::try_from(r.get_varint()?)
-                    .map_err(|_| WireError::Malformed("set id exceeds u32"))?;
-                edges.push(Edge::new(set, r.get_varint()?));
-            }
-            Message::JobSketch {
-                params,
-                seed,
-                ship: ShipFormat::Binary,
-                fault,
-                batch,
-                edges,
-            }
-        }
-        KIND_JOB_DYNAMIC => {
-            let base = get_base_params(&mut r)?;
-            let levels = r.get_len()?;
-            let rows = r.get_len()?;
-            let row_len = r.get_len()?;
-            let params = DynamicSketchParams {
-                base,
-                levels,
-                rows,
-                row_len,
-            };
-            let seed = r.get_u64()?;
-            get_ship(&mut r)?;
-            let fault = get_fault(&mut r)?;
-            let batch = r.get_len()?;
-            let n = r.get_len()?;
-            if n > r.remaining() {
-                return Err(WireError::Malformed("update count exceeds payload size").into());
-            }
-            let mut updates = Vec::with_capacity(n);
-            for _ in 0..n {
-                let sign = r.get_u8()?;
-                let set = u32::try_from(r.get_varint()?)
-                    .map_err(|_| WireError::Malformed("set id exceeds u32"))?;
-                let edge = Edge::new(set, r.get_varint()?);
-                updates.push(match sign {
-                    0 => SignedEdge::insert(edge),
-                    1 => SignedEdge::delete(edge),
-                    _ => return Err(WireError::Malformed("unknown update sign").into()),
-                });
-            }
-            Message::JobDynamic {
-                params,
-                seed,
-                ship: ShipFormat::Binary,
-                fault,
-                batch,
-                updates,
-            }
-        }
+fn decode_payload(frame: Frame<'_>) -> Result<Message, WireError> {
+    let mut r = WireReader::new(frame.payload);
+    let msg = match frame.kind {
+        KIND_JOB_SKETCH => Message::JobSketch {
+            params: r.get_params()?,
+            seed: r.get_u64()?,
+            ship: get_ship(&mut r)?,
+            fault: get_fault(&mut r)?,
+            batch: r.get_len()?,
+            edges: r.get_edges()?,
+        },
+        KIND_JOB_DYNAMIC => Message::JobDynamic {
+            params: r.get_dynamic_params()?,
+            seed: r.get_u64()?,
+            ship: get_ship(&mut r)?,
+            fault: get_fault(&mut r)?,
+            batch: r.get_len()?,
+            updates: r.get_updates()?,
+        },
         KIND_REPLY_SKETCH => Message::ReplySketch {
             snapshot: SketchSnapshot::decode_binary(get_frame(&mut r)?)?,
         },
@@ -584,46 +460,28 @@ fn decode_payload(kind: u8, payload: &[u8]) -> Result<Message, ProtoError> {
         KIND_HEARTBEAT => Message::Heartbeat {
             nonce: r.get_u64()?,
         },
-        KIND_CHUNK_START_SKETCH => {
-            let shard = get_u32v(&mut r)?;
-            let chunks = get_u32v(&mut r)?;
-            let params = get_base_params(&mut r)?;
-            let seed = r.get_u64()?;
-            get_ship(&mut r)?;
-            let fault = get_fault(&mut r)?;
-            let batch = r.get_len()?;
-            Message::ChunkStartSketch {
-                shard,
-                chunks,
-                params,
-                seed,
-                fault,
-                batch,
-            }
-        }
-        KIND_CHUNK_START_DYNAMIC => {
-            let shard = get_u32v(&mut r)?;
-            let chunks = get_u32v(&mut r)?;
-            let base = get_base_params(&mut r)?;
-            let params = DynamicSketchParams {
-                base,
-                levels: r.get_len()?,
-                rows: r.get_len()?,
-                row_len: r.get_len()?,
-            };
-            let seed = r.get_u64()?;
-            get_ship(&mut r)?;
-            let fault = get_fault(&mut r)?;
-            let batch = r.get_len()?;
-            Message::ChunkStartDynamic {
-                shard,
-                chunks,
-                params,
-                seed,
-                fault,
-                batch,
-            }
-        }
+        KIND_CHUNK_START_SKETCH => Message::ChunkStartSketch {
+            shard: get_u32v(&mut r)?,
+            chunks: get_u32v(&mut r)?,
+            params: r.get_params()?,
+            seed: r.get_u64()?,
+            fault: {
+                get_ship(&mut r)?;
+                get_fault(&mut r)?
+            },
+            batch: r.get_len()?,
+        },
+        KIND_CHUNK_START_DYNAMIC => Message::ChunkStartDynamic {
+            shard: get_u32v(&mut r)?,
+            chunks: get_u32v(&mut r)?,
+            params: r.get_dynamic_params()?,
+            seed: r.get_u64()?,
+            fault: {
+                get_ship(&mut r)?;
+                get_fault(&mut r)?
+            },
+            batch: r.get_len()?,
+        },
         KIND_JOB_CHUNK => {
             let shard = get_u32v(&mut r)?;
             let index = get_u32v(&mut r)?;
@@ -633,42 +491,16 @@ fn decode_payload(kind: u8, payload: &[u8]) -> Result<Message, ProtoError> {
             let len = r.get_len()?;
             let items = r.get_bytes(len)?;
             if checksum64(items) != sum {
-                return Err(WireError::ChecksumMismatch.into());
+                return Err(WireError::ChecksumMismatch);
             }
             let mut ir = WireReader::new(items);
-            let n = ir.get_len()?;
-            if n > ir.remaining() {
-                return Err(WireError::Malformed("chunk item count exceeds payload size").into());
-            }
             let payload = match tag {
-                CHUNK_EDGES => {
-                    let mut edges = Vec::with_capacity(n);
-                    for _ in 0..n {
-                        let set = u32::try_from(ir.get_varint()?)
-                            .map_err(|_| WireError::Malformed("set id exceeds u32"))?;
-                        edges.push(Edge::new(set, ir.get_varint()?));
-                    }
-                    ChunkPayload::Edges(edges)
-                }
-                CHUNK_UPDATES => {
-                    let mut updates = Vec::with_capacity(n);
-                    for _ in 0..n {
-                        let sign = ir.get_u8()?;
-                        let set = u32::try_from(ir.get_varint()?)
-                            .map_err(|_| WireError::Malformed("set id exceeds u32"))?;
-                        let edge = Edge::new(set, ir.get_varint()?);
-                        updates.push(match sign {
-                            0 => SignedEdge::insert(edge),
-                            1 => SignedEdge::delete(edge),
-                            _ => return Err(WireError::Malformed("unknown update sign").into()),
-                        });
-                    }
-                    ChunkPayload::Updates(updates)
-                }
-                _ => return Err(WireError::Malformed("unknown chunk payload tag").into()),
+                CHUNK_EDGES => ChunkPayload::Edges(ir.get_edges()?),
+                CHUNK_UPDATES => ChunkPayload::Updates(ir.get_updates()?),
+                _ => return Err(WireError::Malformed("unknown chunk payload tag")),
             };
             if !ir.is_done() {
-                return Err(WireError::Malformed("leftover chunk payload bytes").into());
+                return Err(WireError::Malformed("leftover chunk payload bytes"));
             }
             Message::JobChunk {
                 shard,
@@ -682,36 +514,23 @@ fn decode_payload(kind: u8, payload: &[u8]) -> Result<Message, ProtoError> {
             index: get_u32v(&mut r)?,
         },
         KIND_SHUTDOWN => Message::Shutdown,
-        other => return Err(WireError::UnknownKind { found: other }.into()),
+        other => return Err(WireError::UnknownKind { found: other }),
     };
     if !r.is_done() {
-        return Err(WireError::Malformed("leftover payload bytes").into());
+        return Err(WireError::Malformed("leftover payload bytes"));
     }
     Ok(msg)
 }
 
-/// Write one framed message, returning the total bytes put on the pipe.
+/// Write one framed message, returning the total bytes put on the link.
 pub fn write_message(out: &mut impl Write, msg: &Message) -> Result<u64, ProtoError> {
-    let (kind, payload) = encode_payload(msg);
-    let mut w = WireWriter::new();
-    w.put_bytes(&PROTO_MAGIC);
-    w.put_u16(PROTO_VERSION);
-    w.put_u8(kind);
-    w.put_u8(0);
-    w.put_u64(payload.len() as u64);
-    w.put_bytes(&payload);
-    let frame_body = w.into_bytes();
-    let sum = checksum64(&frame_body);
-    out.write_all(&frame_body)?;
-    out.write_all(&sum.to_le_bytes())?;
-    out.flush()?;
-    Ok(frame_body.len() as u64 + 8)
+    Ok(send(out, &CVPR.encode(0, |w| put_payload(w, msg)))?)
 }
 
 /// Write `msg` as a frame with exactly one bit flipped in its payload
 /// (or, for an empty payload, in its checksum), deterministically
 /// positioned by `seed` — the executable [`Fault::CorruptReply`]. The
-/// checksum is computed over the *pristine* body and the flip lands in
+/// checksum is computed over the *pristine* frame and the flip lands in
 /// the payload region (never the header), so the receiver is guaranteed
 /// a typed [`WireError::ChecksumMismatch`] — never silently merged
 /// garbage.
@@ -720,76 +539,24 @@ pub fn write_corrupted_message(
     msg: &Message,
     seed: u64,
 ) -> Result<u64, ProtoError> {
-    let (kind, payload) = encode_payload(msg);
-    let mut w = WireWriter::new();
-    w.put_bytes(&PROTO_MAGIC);
-    w.put_u16(PROTO_VERSION);
-    w.put_u8(kind);
-    w.put_u8(0);
-    w.put_u64(payload.len() as u64);
-    w.put_bytes(&payload);
-    let mut frame_body = w.into_bytes();
-    let mut sum = checksum64(&frame_body).to_le_bytes();
-    if payload.is_empty() {
-        sum[(seed % 8) as usize] ^= 1 << ((seed / 8) % 8);
-    } else {
-        let at = 16 + (seed as usize % payload.len());
-        frame_body[at] ^= 1 << ((seed / 7) % 8);
-    }
-    out.write_all(&frame_body)?;
-    out.write_all(&sum)?;
-    out.flush()?;
-    Ok(frame_body.len() as u64 + 8)
+    let mut frame = CVPR.encode(0, |w| put_payload(w, msg));
+    // An empty payload puts the checksum trailer right after the header.
+    let (at, bit) = match frame.len() - HEADER_LEN - CHECKSUM_LEN {
+        0 => (seed % 8, (seed / 8) % 8),
+        len => (seed % len as u64, (seed / 7) % 8),
+    };
+    frame[HEADER_LEN + at as usize] ^= 1 << bit;
+    Ok(send(out, &frame)?)
 }
 
 /// Read one framed message, returning it with the total bytes consumed.
 ///
-/// Returns [`ProtoError::Eof`] when the pipe closes cleanly *between*
-/// frames (a finished worker); a pipe that dies mid-frame is an
+/// Returns [`ProtoError::Eof`] when the link closes cleanly *between*
+/// frames (a finished worker); a link that dies mid-frame is an
 /// [`ProtoError::Io`], and a frame that fails validation (magic,
-/// version, checksum, payload structure) is a [`ProtoError::Wire`].
+/// version, kind, checksum, payload structure) is a [`ProtoError::Wire`].
 pub fn read_message(input: &mut impl Read) -> Result<(Message, u64), ProtoError> {
-    let mut header = [0u8; 16];
-    // Distinguish clean EOF (no bytes at all) from a mid-frame cut.
-    let mut got = 0usize;
-    while got < header.len() {
-        match input.read(&mut header[got..])? {
-            0 if got == 0 => return Err(ProtoError::Eof),
-            0 => {
-                return Err(ProtoError::Io(std::io::Error::new(
-                    std::io::ErrorKind::UnexpectedEof,
-                    "pipe closed mid-frame",
-                )))
-            }
-            n => got += n,
-        }
-    }
-    if header[0..4] != PROTO_MAGIC {
-        return Err(WireError::BadMagic.into());
-    }
-    let version = u16::from_le_bytes(header[4..6].try_into().unwrap());
-    if version != PROTO_VERSION {
-        return Err(WireError::UnsupportedVersion { found: version }.into());
-    }
-    let kind = header[6];
-    let payload_len = u64::from_le_bytes(header[8..16].try_into().unwrap());
-    let payload_len = usize::try_from(payload_len)
-        .map_err(|_| WireError::Malformed("payload length exceeds the address space"))?;
-    if payload_len > MAX_FRAME_PAYLOAD {
-        return Err(WireError::Malformed("frame payload exceeds the size cap").into());
-    }
-    let mut payload = vec![0u8; payload_len];
-    input.read_exact(&mut payload)?;
-    let mut sum = [0u8; 8];
-    input.read_exact(&mut sum)?;
-    let mut body = Vec::with_capacity(16 + payload_len);
-    body.extend_from_slice(&header);
-    body.extend_from_slice(&payload);
-    if checksum64(&body) != u64::from_le_bytes(sum) {
-        return Err(WireError::ChecksumMismatch.into());
-    }
-    let msg = decode_payload(kind, &payload)?;
-    Ok((msg, 16 + payload_len as u64 + 8))
+    CVPR.read(input, decode_payload)
 }
 
 #[cfg(test)]
@@ -946,8 +713,8 @@ mod tests {
         // Offset of the ship byte in each payload: job and chunk-start
         // payloads put it after the params and the seed, replies first.
         let mut params_len = WireWriter::new();
-        put_base_params(&mut params_len, &params);
-        let params_len = params_len.into_bytes().len();
+        params_len.put_params(&params);
+        let params_len = params_len.len();
         let offsets = [params_len + 8, 2 + params_len + 8, 0];
         for (msg, at) in frames.iter().zip(offsets) {
             let mut buf = Vec::new();
@@ -1087,101 +854,6 @@ mod tests {
         ));
     }
 
-    /// A reader that returns at most one byte per `read` call — the
-    /// worst-case TCP segmentation, which never respects frame
-    /// boundaries the way pipe writes mostly do.
-    struct OneByteReader<'a>(&'a [u8]);
-
-    impl std::io::Read for OneByteReader<'_> {
-        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-            if self.0.is_empty() || buf.is_empty() {
-                return Ok(0);
-            }
-            buf[0] = self.0[0];
-            self.0 = &self.0[1..];
-            Ok(1)
-        }
-    }
-
-    #[test]
-    fn every_message_decodes_from_a_one_byte_at_a_time_reader() {
-        let params = SketchParams::with_budget(4, 2, 0.5, 80);
-        let edges: Vec<Edge> = (0..200u64).map(|e| Edge::new((e % 4) as u32, e)).collect();
-        let sketch = ThresholdSketch::from_stream(params, 11, &VecStream::new(4, edges.clone()));
-        let messages = vec![
-            Message::JobSketch {
-                params,
-                seed: 42,
-                ship: ShipFormat::Binary,
-                fault: Some(Fault::Delay(3)),
-                batch: 64,
-                edges: edges.clone(),
-            },
-            Message::JobDynamic {
-                params: DynamicSketchParams::new(params),
-                seed: 7,
-                ship: ShipFormat::Binary,
-                fault: None,
-                batch: 32,
-                updates: vec![SignedEdge::insert(Edge::new(1u32, 2u64))],
-            },
-            Message::ReplySketch {
-                snapshot: SketchSnapshot::of(&sketch),
-            },
-            Message::Heartbeat { nonce: u64::MAX },
-            Message::ChunkStartSketch {
-                shard: 2,
-                chunks: 3,
-                params,
-                seed: 1,
-                fault: None,
-                batch: 16,
-            },
-            Message::JobChunk {
-                shard: 2,
-                index: 1,
-                count: 3,
-                payload: ChunkPayload::Edges(edges),
-            },
-            Message::ChunkAck { shard: 2, index: 1 },
-            Message::Shutdown,
-        ];
-        // All frames concatenated through the 1-byte reader decode in
-        // order and byte-for-byte.
-        let mut buf = Vec::new();
-        for m in &messages {
-            write_message(&mut buf, m).unwrap();
-        }
-        let mut reader = OneByteReader(&buf);
-        for m in &messages {
-            let (back, _) = read_message(&mut reader).unwrap();
-            let mut a = Vec::new();
-            let mut b = Vec::new();
-            write_message(&mut a, m).unwrap();
-            write_message(&mut b, &back).unwrap();
-            assert_eq!(a, b, "short-read decode must be byte-identical");
-        }
-        assert!(matches!(read_message(&mut reader), Err(ProtoError::Eof)));
-    }
-
-    #[test]
-    fn old_version_frames_are_typed_not_fatal() {
-        // Hand-craft a version-1 frame: take a valid frame, rewrite the
-        // version field, and re-checksum — exactly the bytes an
-        // old-version worker would produce.
-        let mut buf = Vec::new();
-        write_message(&mut buf, &Message::Shutdown).unwrap();
-        let body_len = buf.len() - 8;
-        buf[4] = 1;
-        buf[5] = 0;
-        let sum = checksum64(&buf[..body_len]).to_le_bytes();
-        buf[body_len..].copy_from_slice(&sum);
-        assert!(matches!(
-            read_message(&mut &buf[..]),
-            Err(ProtoError::Wire(WireError::UnsupportedVersion { found: 1 }))
-        ));
-    }
-
     #[test]
     fn corrupted_writer_output_is_a_typed_checksum_error() {
         let msg = Message::JobSketch {
@@ -1209,64 +881,6 @@ mod tests {
         assert!(matches!(
             read_message(&mut &buf[..]),
             Err(ProtoError::Wire(WireError::ChecksumMismatch))
-        ));
-    }
-
-    #[test]
-    fn oversized_payload_is_rejected_before_allocation() {
-        // A 16-byte header claiming a payload beyond the cap, with
-        // nothing behind it: if the reader tried to allocate/read it,
-        // this would be an Io error — the cap must fire first.
-        let mut header = Vec::new();
-        header.extend_from_slice(&PROTO_MAGIC);
-        header.extend_from_slice(&PROTO_VERSION.to_le_bytes());
-        header.push(KIND_SHUTDOWN);
-        header.push(0);
-        header.extend_from_slice(&((MAX_FRAME_PAYLOAD as u64 + 1).to_le_bytes()));
-        assert!(matches!(
-            read_message(&mut &header[..]),
-            Err(ProtoError::Wire(WireError::Malformed(_)))
-        ));
-    }
-
-    #[test]
-    fn empty_pipe_is_clean_eof() {
-        let mut empty: &[u8] = &[];
-        assert!(matches!(read_message(&mut empty), Err(ProtoError::Eof)));
-    }
-
-    #[test]
-    fn corrupt_frames_are_typed_errors() {
-        let mut buf = Vec::new();
-        write_message(&mut buf, &Message::Shutdown).unwrap();
-        // Bad magic.
-        let mut bad = buf.clone();
-        bad[0] ^= 0xff;
-        assert!(matches!(
-            read_message(&mut &bad[..]),
-            Err(ProtoError::Wire(WireError::BadMagic))
-        ));
-        // Version bump.
-        let mut bad = buf.clone();
-        bad[4] = 9;
-        assert!(matches!(
-            read_message(&mut &bad[..]),
-            Err(ProtoError::Wire(WireError::UnsupportedVersion { found: 9 }))
-        ));
-        // Payload-area corruption → checksum. (Shutdown has no payload;
-        // flip a checksum byte instead.)
-        let mut bad = buf.clone();
-        let last = bad.len() - 1;
-        bad[last] ^= 1;
-        assert!(matches!(
-            read_message(&mut &bad[..]),
-            Err(ProtoError::Wire(WireError::ChecksumMismatch))
-        ));
-        // Mid-frame cut → Io, not Eof.
-        let cut = &buf[..buf.len() - 3];
-        assert!(matches!(
-            read_message(&mut &cut[..]),
-            Err(ProtoError::Io(_))
         ));
     }
 }

@@ -1,21 +1,20 @@
-//! The client↔daemon pipe protocol of the serving subsystem.
+//! The client↔daemon protocol of the serving subsystem.
 //!
-//! Same envelope discipline as the snapshot wire format
-//! (`coverage_sketch::wire`) and the dist worker protocol
-//! (`coverage_dist::proto`), under its own magic so a serve frame can
-//! never be confused with either.
+//! The envelope (header, length, checksum, validation order, clean EOF
+//! versus a mid-frame cut) is `coverage_sketch::frame`'s, shared with
+//! the snapshot schema (`coverage_sketch::wire`) and the dist worker
+//! protocol (`coverage_dist::proto`); this module is the payload schema
+//! on it, under its own magic so a serve frame can never be confused
+//! with either.
 //!
-//! ## Frame layout (version 2)
+//! ## Schema (magic `CVSV`, version 2)
 //!
-//! | offset   | size | field                                   |
-//! |----------|------|-----------------------------------------|
-//! | 0        | 4    | magic `b"CVSV"`                         |
-//! | 4        | 2    | protocol version, `u16` LE (currently 2)|
-//! | 6        | 1    | frame kind                              |
-//! | 7        | 1    | reserved (0)                            |
-//! | 8        | 8    | payload length `u64` LE                 |
-//! | 16       | len  | payload                                 |
-//! | 16 + len | 8    | FNV-1a 64 checksum of bytes `0..16+len` |
+//! Request kinds 1–6 ([`Request::Update`], [`Request::Query`],
+//! [`Request::Stats`], [`Request::Flush`], [`Request::Snapshot`],
+//! [`Request::Shutdown`]); reply kinds 64–68 ([`Reply::Query`],
+//! [`Reply::Stats`], [`Reply::Flush`], [`Reply::Snapshot`],
+//! [`Reply::Error`]). The flags byte is reserved (0). Payloads above
+//! [`MAX_SERVE_PAYLOAD`] are rejected before any allocation.
 //!
 //! ## Conversation
 //!
@@ -33,11 +32,21 @@ use std::io::{Read, Write};
 
 use coverage_core::SetId;
 use coverage_dist::{RoundCost, RoundsReport};
-use coverage_sketch::wire::{checksum64, WireReader, WireWriter};
+use coverage_sketch::frame::{send, Frame, FrameSpec, WireReader, WireWriter};
 use coverage_sketch::WireError;
 use coverage_stream::SignedEdge;
 
 use crate::engine::{QueryAnswer, ServeError, ServeStats};
+
+/// A serve protocol failure: the shared framed-link failures, plus the
+/// engine refusing an operation (e.g. already shut down).
+pub type ProtoError = coverage_sketch::frame::ProtoError<ServeError>;
+
+impl From<ServeError> for ProtoError {
+    fn from(e: ServeError) -> Self {
+        ProtoError::Engine(e)
+    }
+}
 
 /// Serve frame magic (distinct from snapshot `CVSK` and dist `CVPR`).
 pub const SERVE_MAGIC: [u8; 4] = *b"CVSV";
@@ -50,6 +59,14 @@ pub const SERVE_VERSION: u16 = 2;
 /// cannot trigger an enormous allocation.
 pub const MAX_SERVE_PAYLOAD: u64 = 1 << 28;
 
+/// The `CVSV` envelope (request and reply kinds alike).
+pub const CVSV: FrameSpec = FrameSpec {
+    magic: SERVE_MAGIC,
+    version: SERVE_VERSION,
+    kinds: &[1, 2, 3, 4, 5, 6, 64, 65, 66, 67, 68],
+    max_payload: MAX_SERVE_PAYLOAD,
+};
+
 const KIND_UPDATE: u8 = 1;
 const KIND_QUERY: u8 = 2;
 const KIND_STATS: u8 = 3;
@@ -61,50 +78,6 @@ const KIND_REPLY_STATS: u8 = 65;
 const KIND_REPLY_FLUSH: u8 = 66;
 const KIND_REPLY_SNAPSHOT: u8 = 67;
 const KIND_REPLY_ERROR: u8 = 68;
-
-/// A serve protocol failure.
-#[derive(Debug)]
-pub enum ProtoError {
-    /// The underlying pipe failed mid-frame.
-    Io(std::io::Error),
-    /// A frame or its payload failed validation.
-    Wire(WireError),
-    /// The pipe closed cleanly between frames (client hangup).
-    Eof,
-    /// The engine refused an operation (e.g. already shut down).
-    Engine(ServeError),
-}
-
-impl std::fmt::Display for ProtoError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ProtoError::Io(e) => write!(f, "pipe error: {e}"),
-            ProtoError::Wire(e) => write!(f, "serve frame error: {e}"),
-            ProtoError::Eof => write!(f, "pipe closed"),
-            ProtoError::Engine(e) => write!(f, "engine error: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for ProtoError {}
-
-impl From<std::io::Error> for ProtoError {
-    fn from(e: std::io::Error) -> Self {
-        ProtoError::Io(e)
-    }
-}
-
-impl From<WireError> for ProtoError {
-    fn from(e: WireError) -> Self {
-        ProtoError::Wire(e)
-    }
-}
-
-impl From<ServeError> for ProtoError {
-    fn from(e: ServeError) -> Self {
-        ProtoError::Engine(e)
-    }
-}
 
 /// Client → daemon.
 #[derive(Clone, Debug)]
@@ -191,35 +164,6 @@ pub enum Reply {
     },
 }
 
-fn put_updates(w: &mut WireWriter, updates: &[SignedEdge]) {
-    w.put_varint(updates.len() as u64);
-    for u in updates {
-        w.put_u8(if u.sign() >= 0 { 0 } else { 1 });
-        w.put_varint(u.edge.set.0 as u64);
-        w.put_varint(u.edge.element.0);
-    }
-}
-
-fn get_updates(r: &mut WireReader<'_>) -> Result<Vec<SignedEdge>, ProtoError> {
-    let n = r.get_len()?;
-    if n > r.remaining() {
-        return Err(WireError::Malformed("update count exceeds payload size").into());
-    }
-    let mut updates = Vec::with_capacity(n);
-    for _ in 0..n {
-        let sign = r.get_u8()?;
-        let set = u32::try_from(r.get_varint()?)
-            .map_err(|_| WireError::Malformed("set id exceeds u32"))?;
-        let edge = coverage_core::Edge::new(set, r.get_varint()?);
-        updates.push(match sign {
-            0 => SignedEdge::insert(edge),
-            1 => SignedEdge::delete(edge),
-            _ => return Err(WireError::Malformed("unknown update sign").into()),
-        });
-    }
-    Ok(updates)
-}
-
 fn put_answer(w: &mut WireWriter, a: &QueryAnswer) {
     w.put_varint(a.epoch);
     w.put_varint(a.updates_applied);
@@ -234,20 +178,15 @@ fn put_answer(w: &mut WireWriter, a: &QueryAnswer) {
     w.put_u64(a.sampling_p.to_bits());
 }
 
-fn get_answer(r: &mut WireReader<'_>) -> Result<QueryAnswer, ProtoError> {
+fn get_answer(r: &mut WireReader<'_>) -> Result<QueryAnswer, WireError> {
     let epoch = r.get_varint()?;
     let updates_applied = r.get_varint()?;
     let guess_index = r.get_len()?;
     let guess_k = r.get_len()?;
-    let len = r.get_len()?;
-    if len > r.remaining() {
-        return Err(WireError::Malformed("family length exceeds payload size").into());
-    }
+    let len = r.get_count("family length exceeds payload size")?;
     let mut family = Vec::with_capacity(len);
     for _ in 0..len {
-        let s = u32::try_from(r.get_varint()?)
-            .map_err(|_| WireError::Malformed("set id exceeds u32"))?;
-        family.push(SetId(s));
+        family.push(SetId(r.get_set_id()?));
     }
     Ok(QueryAnswer {
         epoch,
@@ -279,7 +218,7 @@ fn put_stats(w: &mut WireWriter, s: &ServeStats) {
     }
 }
 
-fn get_stats(r: &mut WireReader<'_>) -> Result<ServeStats, ProtoError> {
+fn get_stats(r: &mut WireReader<'_>) -> Result<ServeStats, WireError> {
     let epoch = r.get_varint()?;
     let epochs_published = r.get_varint()?;
     let publish_failures = r.get_varint()?;
@@ -290,12 +229,9 @@ fn get_stats(r: &mut WireReader<'_>) -> Result<ServeStats, ProtoError> {
     let degraded = match r.get_u8()? {
         0 => false,
         1 => true,
-        _ => return Err(WireError::Malformed("unknown degraded flag").into()),
+        _ => return Err(WireError::Malformed("unknown degraded flag")),
     };
-    let n = r.get_len()?;
-    if n > r.remaining() {
-        return Err(WireError::Malformed("round count exceeds payload size").into());
-    }
+    let n = r.get_count("round count exceeds payload size")?;
     let mut rounds = Vec::with_capacity(n);
     for _ in 0..n {
         rounds.push(RoundCost {
@@ -318,46 +254,45 @@ fn get_stats(r: &mut WireReader<'_>) -> Result<ServeStats, ProtoError> {
     })
 }
 
-fn encode_request(msg: &Request) -> (u8, Vec<u8>) {
-    let mut w = WireWriter::new();
+/// Write `msg`'s payload and return its kind.
+fn put_request(w: &mut WireWriter, msg: &Request) -> u8 {
     match msg {
         Request::Update { id, updates } => {
             w.put_varint(*id);
-            put_updates(&mut w, updates);
-            (KIND_UPDATE, w.into_bytes())
+            w.put_updates(updates);
+            KIND_UPDATE
         }
         Request::Query { id, k } => {
             w.put_varint(*id);
             w.put_varint(*k as u64);
-            (KIND_QUERY, w.into_bytes())
+            KIND_QUERY
         }
         Request::Stats { id } => {
             w.put_varint(*id);
-            (KIND_STATS, w.into_bytes())
+            KIND_STATS
         }
         Request::Flush { id } => {
             w.put_varint(*id);
-            (KIND_FLUSH, w.into_bytes())
+            KIND_FLUSH
         }
         Request::Snapshot { id } => {
             w.put_varint(*id);
-            (KIND_SNAPSHOT, w.into_bytes())
+            KIND_SNAPSHOT
         }
         Request::Shutdown { id } => {
             w.put_varint(*id);
-            (KIND_SHUTDOWN, w.into_bytes())
+            KIND_SHUTDOWN
         }
     }
 }
 
-fn decode_request(kind: u8, payload: &[u8]) -> Result<Request, ProtoError> {
-    let mut r = WireReader::new(payload);
-    let msg = match kind {
-        KIND_UPDATE => {
-            let id = r.get_varint()?;
-            let updates = get_updates(&mut r)?;
-            Request::Update { id, updates }
-        }
+fn decode_request(frame: Frame<'_>) -> Result<Request, WireError> {
+    let mut r = WireReader::new(frame.payload);
+    let msg = match frame.kind {
+        KIND_UPDATE => Request::Update {
+            id: r.get_varint()?,
+            updates: r.get_updates()?,
+        },
         KIND_QUERY => Request::Query {
             id: r.get_varint()?,
             k: r.get_len()?,
@@ -374,26 +309,26 @@ fn decode_request(kind: u8, payload: &[u8]) -> Result<Request, ProtoError> {
         KIND_SHUTDOWN => Request::Shutdown {
             id: r.get_varint()?,
         },
-        other => return Err(WireError::UnknownKind { found: other }.into()),
+        other => return Err(WireError::UnknownKind { found: other }),
     };
     if !r.is_done() {
-        return Err(WireError::Malformed("leftover payload bytes").into());
+        return Err(WireError::Malformed("leftover payload bytes"));
     }
     Ok(msg)
 }
 
-fn encode_reply(msg: &Reply) -> (u8, Vec<u8>) {
-    let mut w = WireWriter::new();
+/// Write `msg`'s payload and return its kind.
+fn put_reply(w: &mut WireWriter, msg: &Reply) -> u8 {
     match msg {
         Reply::Query { id, answer } => {
             w.put_varint(*id);
-            put_answer(&mut w, answer);
-            (KIND_REPLY_QUERY, w.into_bytes())
+            put_answer(w, answer);
+            KIND_REPLY_QUERY
         }
         Reply::Stats { id, stats } => {
             w.put_varint(*id);
-            put_stats(&mut w, stats);
-            (KIND_REPLY_STATS, w.into_bytes())
+            put_stats(w, stats);
+            KIND_REPLY_STATS
         }
         Reply::Flush {
             id,
@@ -403,7 +338,7 @@ fn encode_reply(msg: &Reply) -> (u8, Vec<u8>) {
             w.put_varint(*id);
             w.put_varint(*epoch);
             w.put_varint(*updates_applied);
-            (KIND_REPLY_FLUSH, w.into_bytes())
+            KIND_REPLY_FLUSH
         }
         Reply::Snapshot { id, epoch, frames } => {
             w.put_varint(*id);
@@ -413,30 +348,28 @@ fn encode_reply(msg: &Reply) -> (u8, Vec<u8>) {
                 w.put_varint(frame.len() as u64);
                 w.put_bytes(frame);
             }
-            (KIND_REPLY_SNAPSHOT, w.into_bytes())
+            KIND_REPLY_SNAPSHOT
         }
         Reply::Error { id, message } => {
             w.put_varint(*id);
             w.put_varint(message.len() as u64);
             w.put_bytes(message.as_bytes());
-            (KIND_REPLY_ERROR, w.into_bytes())
+            KIND_REPLY_ERROR
         }
     }
 }
 
-fn decode_reply(kind: u8, payload: &[u8]) -> Result<Reply, ProtoError> {
-    let mut r = WireReader::new(payload);
-    let msg = match kind {
-        KIND_REPLY_QUERY => {
-            let id = r.get_varint()?;
-            let answer = get_answer(&mut r)?;
-            Reply::Query { id, answer }
-        }
-        KIND_REPLY_STATS => {
-            let id = r.get_varint()?;
-            let stats = get_stats(&mut r)?;
-            Reply::Stats { id, stats }
-        }
+fn decode_reply(frame: Frame<'_>) -> Result<Reply, WireError> {
+    let mut r = WireReader::new(frame.payload);
+    let msg = match frame.kind {
+        KIND_REPLY_QUERY => Reply::Query {
+            id: r.get_varint()?,
+            answer: get_answer(&mut r)?,
+        },
+        KIND_REPLY_STATS => Reply::Stats {
+            id: r.get_varint()?,
+            stats: get_stats(&mut r)?,
+        },
         KIND_REPLY_FLUSH => Reply::Flush {
             id: r.get_varint()?,
             epoch: r.get_varint()?,
@@ -445,10 +378,7 @@ fn decode_reply(kind: u8, payload: &[u8]) -> Result<Reply, ProtoError> {
         KIND_REPLY_SNAPSHOT => {
             let id = r.get_varint()?;
             let epoch = r.get_varint()?;
-            let n = r.get_len()?;
-            if n > r.remaining() {
-                return Err(WireError::Malformed("frame count exceeds payload size").into());
-            }
+            let n = r.get_count("frame count exceeds payload size")?;
             let mut frames = Vec::with_capacity(n);
             for _ in 0..n {
                 let len = r.get_len()?;
@@ -459,101 +389,37 @@ fn decode_reply(kind: u8, payload: &[u8]) -> Result<Reply, ProtoError> {
         KIND_REPLY_ERROR => {
             let id = r.get_varint()?;
             let len = r.get_len()?;
-            let bytes = r.get_bytes(len)?;
-            let message = std::str::from_utf8(bytes)
+            let message = std::str::from_utf8(r.get_bytes(len)?)
                 .map_err(|_| WireError::Malformed("error message is not UTF-8"))?
                 .to_string();
             Reply::Error { id, message }
         }
-        other => return Err(WireError::UnknownKind { found: other }.into()),
+        other => return Err(WireError::UnknownKind { found: other }),
     };
     if !r.is_done() {
-        return Err(WireError::Malformed("leftover payload bytes").into());
+        return Err(WireError::Malformed("leftover payload bytes"));
     }
     Ok(msg)
 }
 
-fn write_frame(out: &mut impl Write, kind: u8, payload: &[u8]) -> Result<u64, ProtoError> {
-    let mut w = WireWriter::new();
-    w.put_bytes(&SERVE_MAGIC);
-    w.put_u16(SERVE_VERSION);
-    w.put_u8(kind);
-    w.put_u8(0);
-    w.put_u64(payload.len() as u64);
-    w.put_bytes(payload);
-    let frame_body = w.into_bytes();
-    let sum = checksum64(&frame_body);
-    out.write_all(&frame_body)?;
-    out.write_all(&sum.to_le_bytes())?;
-    out.flush()?;
-    Ok(frame_body.len() as u64 + 8)
-}
-
-fn read_frame(input: &mut impl Read) -> Result<(u8, Vec<u8>, u64), ProtoError> {
-    let mut header = [0u8; 16];
-    // Distinguish clean EOF (no bytes at all) from a mid-frame cut.
-    let mut got = 0usize;
-    while got < header.len() {
-        match input.read(&mut header[got..])? {
-            0 if got == 0 => return Err(ProtoError::Eof),
-            0 => {
-                return Err(ProtoError::Io(std::io::Error::new(
-                    std::io::ErrorKind::UnexpectedEof,
-                    "pipe closed mid-frame",
-                )))
-            }
-            n => got += n,
-        }
-    }
-    if header[0..4] != SERVE_MAGIC {
-        return Err(WireError::BadMagic.into());
-    }
-    let version = u16::from_le_bytes(header[4..6].try_into().unwrap());
-    if version != SERVE_VERSION {
-        return Err(WireError::UnsupportedVersion { found: version }.into());
-    }
-    let kind = header[6];
-    let payload_len = u64::from_le_bytes(header[8..16].try_into().unwrap());
-    if payload_len > MAX_SERVE_PAYLOAD {
-        return Err(WireError::Malformed("payload length exceeds the frame cap").into());
-    }
-    let payload_len = usize::try_from(payload_len)
-        .map_err(|_| WireError::Malformed("payload length exceeds the address space"))?;
-    let mut payload = vec![0u8; payload_len];
-    input.read_exact(&mut payload)?;
-    let mut sum = [0u8; 8];
-    input.read_exact(&mut sum)?;
-    let mut body = Vec::with_capacity(16 + payload_len);
-    body.extend_from_slice(&header);
-    body.extend_from_slice(&payload);
-    if checksum64(&body) != u64::from_le_bytes(sum) {
-        return Err(WireError::ChecksumMismatch.into());
-    }
-    Ok((kind, payload, 16 + payload_len as u64 + 8))
-}
-
 /// Write one framed request; returns the bytes put on the pipe.
 pub fn write_request(out: &mut impl Write, msg: &Request) -> Result<u64, ProtoError> {
-    let (kind, payload) = encode_request(msg);
-    write_frame(out, kind, &payload)
+    Ok(send(out, &CVSV.encode(0, |w| put_request(w, msg)))?)
 }
 
 /// Read one framed request ([`ProtoError::Eof`] on clean hangup).
 pub fn read_request(input: &mut impl Read) -> Result<(Request, u64), ProtoError> {
-    let (kind, payload, total) = read_frame(input)?;
-    Ok((decode_request(kind, &payload)?, total))
+    CVSV.read(input, decode_request)
 }
 
 /// Write one framed reply; returns the bytes put on the pipe.
 pub fn write_reply(out: &mut impl Write, msg: &Reply) -> Result<u64, ProtoError> {
-    let (kind, payload) = encode_reply(msg);
-    write_frame(out, kind, &payload)
+    Ok(send(out, &CVSV.encode(0, |w| put_reply(w, msg)))?)
 }
 
 /// Read one framed reply ([`ProtoError::Eof`] on clean hangup).
 pub fn read_reply(input: &mut impl Read) -> Result<(Reply, u64), ProtoError> {
-    let (kind, payload, total) = read_frame(input)?;
-    Ok((decode_reply(kind, &payload)?, total))
+    CVSV.read(input, decode_reply)
 }
 
 #[cfg(test)]
@@ -715,44 +581,5 @@ mod tests {
             }
             other => panic!("wrong message: {other:?}"),
         }
-    }
-
-    #[test]
-    fn corrupt_frames_are_typed_errors() {
-        let mut buf = Vec::new();
-        write_request(&mut buf, &Request::Stats { id: 1 }).unwrap();
-        let mut empty: &[u8] = &[];
-        assert!(matches!(read_request(&mut empty), Err(ProtoError::Eof)));
-        let mut bad = buf.clone();
-        bad[0] ^= 0xff;
-        assert!(matches!(
-            read_request(&mut &bad[..]),
-            Err(ProtoError::Wire(WireError::BadMagic))
-        ));
-        let mut bad = buf.clone();
-        bad[4] = 7;
-        assert!(matches!(
-            read_request(&mut &bad[..]),
-            Err(ProtoError::Wire(WireError::UnsupportedVersion { found: 7 }))
-        ));
-        let mut bad = buf.clone();
-        let last = bad.len() - 1;
-        bad[last] ^= 1;
-        assert!(matches!(
-            read_request(&mut &bad[..]),
-            Err(ProtoError::Wire(WireError::ChecksumMismatch))
-        ));
-        let cut = &buf[..buf.len() - 3];
-        assert!(matches!(
-            read_request(&mut &cut[..]),
-            Err(ProtoError::Io(_))
-        ));
-        // A dist worker frame (CVPR) must be rejected by magic.
-        let mut cvpr = buf.clone();
-        cvpr[0..4].copy_from_slice(b"CVPR");
-        assert!(matches!(
-            read_request(&mut &cvpr[..]),
-            Err(ProtoError::Wire(_))
-        ));
     }
 }

@@ -42,7 +42,10 @@
 //! * [`dynamic`] — the **dynamic-stream** extension: an
 //!   ℓ₀-sampler-backed [`DynamicSketch`] over signed (insert/delete)
 //!   updates, linear in the net edge multiset so deletions exactly
-//!   cancel insertions and merges stay associative and commutative.
+//!   cancel insertions and merges stay associative and commutative;
+//! * [`frame`] — the one checksummed frame envelope under every binary
+//!   protocol of the suite, and [`wire`] — the `CVSK` snapshot schema on
+//!   it.
 //!
 //! ## Determinism contract
 //!
@@ -62,6 +65,7 @@ pub mod ablation;
 pub mod dynamic;
 pub mod estimate;
 pub mod fixed;
+pub mod frame;
 pub mod lemmas;
 pub mod multi;
 pub mod params;
@@ -77,6 +81,7 @@ pub use dynamic::{
 };
 pub use estimate::{chernoff_envelope, estimate_from_sample};
 pub use fixed::{build_hp, build_hp_prime};
+pub use frame::WireError;
 pub use lemmas::{
     check_lemma_2_2, check_lemma_2_3, check_lemma_2_4, check_lemma_2_6, check_theorem_2_7,
     Lemma22Check, Lemma26Check, TransferCheck,
@@ -86,4 +91,4 @@ pub use params::{SketchParams, SketchSizing};
 pub use reference::ReferenceSketch;
 pub use serial::{SketchSnapshot, SnapshotEntry};
 pub use threshold::{SketchCounters, ThresholdSketch};
-pub use wire::{PayloadKind, WireError};
+pub use wire::PayloadKind;

@@ -10,12 +10,18 @@
 //! case where every worker dies and the coordinator builds inline. Late
 //! joiners must be admitted mid-run and handed queued shards.
 
-use std::time::Duration;
+use std::io::Read;
+use std::net::{TcpListener, TcpStream};
+use std::sync::mpsc;
+use std::time::{Duration, Instant};
 
 use proptest::prelude::*;
 
 use coverage_suite::data::{planted_k_cover, uniform_instance, zipf_instance};
 use coverage_suite::dist::fault::MAX_DELAY_MS;
+use coverage_suite::dist::proto::{read_message, write_message};
+use coverage_suite::dist::worker::worker_loop;
+use coverage_suite::dist::{Message, ProtoError};
 use coverage_suite::prelude::*;
 
 fn worker_command() -> WorkerCommand {
@@ -64,7 +70,10 @@ fn socket_family_matches_serial_parallel_and_pipes() {
     let pipes = ProcessRunner::new(cfg, worker_command(), 3)
         .run(&stream)
         .expect("pipe run");
+    // Shard 0's stream stalls for 300ms, so two fast workers cannot
+    // resolve all six shards before the third one connects.
     let socket = SocketRunner::new(cfg, worker_command(), 3)
+        .with_fault_plan(FaultPlan::new(11).with_fault(0, Fault::Stall(300)))
         .run(&stream)
         .expect("socket run");
     assert_eq!(socket.family, serial.family);
@@ -297,6 +306,191 @@ fn late_joining_worker_is_admitted_and_used() {
          (summaries: {:?})",
         socket.stats.workers
     );
+}
+
+/// How a stub worker builds its shards wrong.
+#[derive(Clone, Copy, Debug)]
+enum Tamper {
+    /// Under the job's seed with its low bit flipped.
+    Seed,
+    /// Under a budget one edge larger than the job's.
+    Params,
+}
+
+/// A link reader that rewrites every `ChunkStart*` frame it passes on,
+/// so the real worker loop behind it builds the shard under a tampered
+/// seed or tampered params, and replies with that snapshot.
+struct Tampering {
+    link: TcpStream,
+    tamper: Tamper,
+    frame: Vec<u8>,
+    at: usize,
+}
+
+impl Tampering {
+    fn rewrite(&self, msg: Message) -> Message {
+        let seed = |seed: u64| match self.tamper {
+            Tamper::Seed => seed ^ 1,
+            Tamper::Params => seed,
+        };
+        let params = |mut params: SketchParams| {
+            if let Tamper::Params = self.tamper {
+                params.edge_budget += 1;
+            }
+            params
+        };
+        match msg {
+            Message::ChunkStartSketch {
+                shard,
+                chunks,
+                params: p,
+                seed: s,
+                fault,
+                batch,
+            } => Message::ChunkStartSketch {
+                shard,
+                chunks,
+                params: params(p),
+                seed: seed(s),
+                fault,
+                batch,
+            },
+            Message::ChunkStartDynamic {
+                shard,
+                chunks,
+                params: mut p,
+                seed: s,
+                fault,
+                batch,
+            } => {
+                p.base = params(p.base);
+                Message::ChunkStartDynamic {
+                    shard,
+                    chunks,
+                    params: p,
+                    seed: seed(s),
+                    fault,
+                    batch,
+                }
+            }
+            other => other,
+        }
+    }
+}
+
+impl Read for Tampering {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        if self.at == self.frame.len() {
+            let msg = match read_message(&mut self.link) {
+                Ok((msg, _)) => msg,
+                Err(ProtoError::Eof) => return Ok(0),
+                Err(e) => return Err(std::io::Error::other(e.to_string())),
+            };
+            let msg = self.rewrite(msg);
+            self.frame.clear();
+            self.at = 0;
+            write_message(&mut self.frame, &msg).expect("in-memory write");
+        }
+        let n = buf.len().min(self.frame.len() - self.at);
+        buf[..n].copy_from_slice(&self.frame[self.at..self.at + n]);
+        self.at += n;
+        Ok(n)
+    }
+}
+
+/// Dial `addr` until the coordinator listens there.
+fn dial(addr: &str) -> TcpStream {
+    let deadline = Instant::now() + Duration::from_secs(20);
+    loop {
+        match TcpStream::connect(addr) {
+            Ok(link) => return link,
+            Err(e) if Instant::now() >= deadline => panic!("cannot reach {addr}: {e}"),
+            Err(_) => std::thread::sleep(Duration::from_millis(5)),
+        }
+    }
+}
+
+/// Run a coordinator listening on a free loopback port with two stub
+/// workers: a tampering one that connects first and alone, and an
+/// honest one (the real worker loop) that connects only once the
+/// coordinator has cut the first one off.
+fn run_with_a_tampering_worker(
+    tamper: Tamper,
+    run: impl FnOnce(SocketRunner) -> RunReport,
+    cfg: DistConfig,
+) -> RunReport {
+    let addr = TcpListener::bind("127.0.0.1:0")
+        .and_then(|l| l.local_addr())
+        .expect("free loopback port")
+        .to_string();
+    let (cut_tx, cut_rx) = mpsc::channel();
+    let dishonest = {
+        let addr = addr.clone();
+        std::thread::spawn(move || {
+            let link = dial(&addr);
+            let mut output = link.try_clone().expect("clone link");
+            let mut input = Tampering {
+                link,
+                tamper,
+                frame: Vec::new(),
+                at: 0,
+            };
+            let _ = worker_loop(&mut input, &mut output);
+            let _ = cut_tx.send(());
+        })
+    };
+    let honest = {
+        let addr = addr.clone();
+        std::thread::spawn(move || {
+            if cut_rx.recv().is_err() {
+                return;
+            }
+            // After the run the listener is gone and nobody answers.
+            let Ok(link) = TcpStream::connect(&addr) else {
+                return;
+            };
+            let mut output = link.try_clone().expect("clone link");
+            let mut input = link;
+            let _ = worker_loop(&mut input, &mut output);
+        })
+    };
+    let report = run(SocketRunner::listen(cfg, addr).with_join_grace(Duration::from_secs(20)));
+    dishonest.join().expect("tampering worker");
+    honest.join().expect("honest worker");
+    report
+}
+
+#[test]
+fn replies_built_under_another_seed_or_params_are_protocol_faults() {
+    let stream = generated_stream(2, 24, 2_000, 3, 53);
+    let churn = VecDynamicStream::new(24, signed_updates(&stream, 53));
+    let cfg = DistConfig::new(4, 3, 0.3, 53).with_sizing(SketchSizing::Budget(1_000));
+    let serial = distributed_k_cover(&stream, &cfg);
+    let dynamic_serial = dynamic_distributed_k_cover(&churn, &cfg);
+    for tamper in [Tamper::Seed, Tamper::Params] {
+        let run = run_with_a_tampering_worker(
+            tamper,
+            |runner| runner.run(&stream).expect("socket run"),
+            cfg,
+        );
+        assert_eq!(run.family, serial.family, "{tamper:?}");
+        assert_eq!(run.merged_edges, serial.merged_edges, "{tamper:?}");
+        assert!(run.stats.proto_faults >= 1, "{tamper:?}: {:?}", run.stats);
+        assert!(run.stats.shards_requeued >= 1, "{tamper:?}");
+
+        let run = run_with_a_tampering_worker(
+            tamper,
+            |runner| runner.run_dynamic(&churn).expect("dynamic socket run"),
+            cfg,
+        );
+        assert_eq!(run.family, dynamic_serial.family, "{tamper:?} (churn)");
+        assert_eq!(run.sample, dynamic_serial.sample, "{tamper:?} (churn)");
+        assert!(
+            run.stats.proto_faults >= 1,
+            "{tamper:?} (churn): {:?}",
+            run.stats
+        );
+    }
 }
 
 #[test]
